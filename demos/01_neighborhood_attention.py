@@ -10,22 +10,21 @@ border pixels mix only what actually exists.
 
 import numpy as np
 
-from localattn import LocalAttention, extract_neighborhood, softmax_axis
+from localattn import LocalAttention, softmax_axis, window_validity
 
 rng = np.random.default_rng(0)
 
 # A tiny 6x6 feature map with 4 channels.
 x = rng.standard_normal((1, 4, 6, 6))
 
-# Pull the 3x3 window around the top-left corner pixel. Five of the nine
-# slots hang off the image; the validity mask marks them.
-window, idx = extract_neighborhood(x, 0, 0, 3)
-print("window shape:", window.shape)
-print("valid slots :", idx.valid_mask.astype(int).reshape(3, 3))
+# The 3x3 window around the top-left corner pixel: five of the nine slots
+# hang off the image, and the validity mask the layer uses marks them.
+valid = window_validity(6, 6, 3)[0, 0]
+print("valid slots :", valid.astype(int).reshape(3, 3))
 
 # Masked softmax: the invalid slots are excluded, the rest sum to one.
 logits = rng.standard_normal(9)
-weights = softmax_axis(logits, -1, idx.valid_mask)
+weights = softmax_axis(logits, -1, valid)
 print("weights     :", np.round(weights.reshape(3, 3), 3))
 print("weight sum  :", weights.sum())
 

@@ -11,16 +11,13 @@ from .errors import (CheckpointError, ConfigurationError, ConstructionError,
                      IngestionError, NonFiniteGradientError, PaddingError,
                      ResolutionError, ScheduleError, UnsupportedExtentError)
 from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool,
-                     Linear, LocalAttention, MaxPool, ReLU, absolute_position_signal,
-                     avg_pool_2x2, batchnorm, conv2d, local_attention, max_pool,
-                     relative_embedding_lookup, stem_attention, stem_mixture_weights)
+                     Linear, LocalAttention, MaxPool, ReLU, absolute_position_signal)
 from .data import (DatasetSource, load_cifar10, load_data, read_cifar10_file,
                    synthetic_blocks, synthetic_separable)
 from .model import (Bottleneck, Model, ModelSpec, Sequential, batchnorm_state,
                     build_model, full_state, load_checkpoint, load_state_into,
                     parse_config_text, read_config, save_checkpoint, write_config)
-from .tensorops import (NeighborhoodIndex, extract_neighborhood, matmul, softmax_axis,
-                        window_validity)
+from .tensorops import softmax_axis, window_validity
 from .train import (History, OptimizerState, Schedule, TrainConfig,
                     cross_entropy_smoothed, evaluate, lr_at, nesterov_step,
                     train_loop)
@@ -36,18 +33,16 @@ __all__ = [
     "DatasetSource", "DegenerateGroupError", "DimensionError", "DivergenceError",
     "GlobalAvgPool", "GradTape", "History", "IngestionError",
     "Linear", "LocalAttention", "MaxPool", "Model",
-    "ModelSpec", "NeighborhoodIndex", "NonFiniteGradientError", "OptimizerState",
-    "PaddingError", "ParityReport", "ReLU", "ResolutionError",
-    "Schedule", "ScheduleError", "Sequential", "SuiteResult",
-    "TrainConfig", "UnsupportedExtentError", "absolute_position_signal", "avg_pool_2x2",
-    "backward", "batchnorm", "batchnorm_state", "build_model",
-    "conv2d", "cost_parity", "count_flops", "count_params",
-    "cross_entropy_smoothed", "evaluate", "extract_neighborhood", "full_state",
-    "gradcheck", "gradcheck_suite", "invariant_suite", "ledger",
-    "load_checkpoint", "load_cifar10", "load_data", "load_state_into",
-    "local_attention", "lr_at", "matmul", "max_pool",
+    "ModelSpec", "NonFiniteGradientError", "OptimizerState", "PaddingError",
+    "ParityReport", "ReLU", "ResolutionError", "Schedule",
+    "ScheduleError", "Sequential", "SuiteResult", "TrainConfig",
+    "UnsupportedExtentError", "absolute_position_signal", "backward", "batchnorm_state",
+    "build_model", "cost_parity", "count_flops", "count_params",
+    "cross_entropy_smoothed", "evaluate", "full_state", "gradcheck",
+    "gradcheck_suite", "invariant_suite", "ledger", "load_checkpoint",
+    "load_cifar10", "load_data", "load_state_into", "lr_at",
     "nesterov_step", "oracle_suite", "parse_config_text", "read_cifar10_file",
-    "read_config", "relative_embedding_lookup", "run_all", "save_checkpoint",
-    "softmax_axis", "stem_attention", "stem_mixture_weights", "synthetic_blocks",
-    "synthetic_separable", "train_loop", "window_validity", "write_config",
+    "read_config", "run_all", "save_checkpoint", "softmax_axis",
+    "synthetic_blocks", "synthetic_separable", "train_loop", "window_validity",
+    "write_config",
 ]

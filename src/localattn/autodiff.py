@@ -9,6 +9,7 @@ stem) handle their internal branching inside their own backward.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +81,11 @@ def gradcheck(layer, input_shape, tolerance: float = 1e-4,
 
     The layer must hold float64 parameters; all perturbations run in double
     precision. The reported figure is max(|g_a - g_fd| / (|g_a| + |g_fd| +
-    1e-8)) over every parameter entry and every input entry.
+    1e-8)) over every parameter entry and every input entry. The probes run
+    on a copy, so the caller's layer (batch-norm running statistics
+    included) is left as it was.
     """
+    layer = copy.deepcopy(layer)
     for key, arr in layer.params.items():
         if arr.dtype != np.float64:
             raise ConfigurationError(

@@ -1,7 +1,7 @@
 """Symbolic FLOP and parameter ledger for any ModelSpec.
 
-Nothing here runs a network: the ledger walks the same structure build_model
-would create and prices each layer with closed-form counts, so reports are
+Nothing here runs a network: the ledger walks the layer plan build_model
+instantiates and prices each layer with closed-form counts, so reports are
 instantaneous at any resolution.
 
 Accounting convention "macx2-v1" (stamped on every report):
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import EXPANSION, ModelSpec
+from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool, Linear,
+                     LocalAttention, MaxPool, ReLU)
+from .model import Bottleneck, ModelSpec, plan
 
 CONVENTION = "macx2-v1"
 
@@ -79,17 +81,6 @@ class CostReport:
         ]
 
 
-def _conv_entry(name, d_in, d_out, k, stride, h, w):
-    h_out, w_out = -(-h // stride), -(-w // stride)
-    params = k * k * d_in * d_out
-    flops = 2 * k * k * d_in * d_out * h_out * w_out
-    return CostEntry(name, params, 0, flops, (d_out, h_out, w_out)), h_out, w_out
-
-
-def _bn_entry(name, channels, h, w):
-    return CostEntry(name, 2 * channels, 0, 5 * channels * h * w, (channels, h, w))
-
-
 def attention_unit_costs(d_in: int, d_out: int, k: int, heads: int, mode: str):
     """(params, positional params, flops per pixel) for one attention layer."""
     transforms = 2 if mode == "relative_only" else 3
@@ -110,13 +101,35 @@ def attention_unit_costs(d_in: int, d_out: int, k: int, heads: int, mode: str):
     return params, positional, per_pixel
 
 
-def _attention_entry(name, d_in, d_out, k, heads, mode, h, w):
-    params, positional, per_pixel = attention_unit_costs(d_in, d_out, k, heads, mode)
-    return CostEntry(name, params, positional, per_pixel * h * w, (d_out, h, w))
+# Each pricer takes the entry name, the (C, H, W) input shape and the layer's
+# constructor arguments, and returns the layer's entries; the last entry's
+# output shape is the layer's.
+
+def _conv(name, shape, d_in, d_out, k, stride=1, **_):
+    h, w = -(-shape[1] // stride), -(-shape[2] // stride)
+    return [CostEntry(name, k * k * d_in * d_out, 0, 2 * k * k * d_in * d_out * h * w,
+                      (d_out, h, w))]
 
 
-def _stem_attention_entries(name, d_in, d_out, mixtures, d_emb, heads, h, w):
-    window = 4
+def _batchnorm(name, shape, channels, **_):
+    _, h, w = shape
+    return [CostEntry(name, 2 * channels, 0, 5 * channels * h * w, (channels, h, w))]
+
+
+def _pool(name, shape, stride):
+    c, h, w = shape[0], -(-shape[1] // stride), -(-shape[2] // stride)
+    return [CostEntry(name, 0, 0, 5 * c * h * w, (c, h, w))]
+
+
+def _attention(name, shape, d_in, d_out, k, heads, encoding_mode, **_):
+    _, h, w = shape
+    params, positional, per_pixel = attention_unit_costs(d_in, d_out, k, heads, encoding_mode)
+    return [CostEntry(name, params, positional, per_pixel * h * w, (d_out, h, w))]
+
+
+def _stem(name, shape, d_in, d_out, mixtures, d_emb, heads, **_):
+    _, h, w = shape
+    window = AttentionStem.WINDOW
     params = (2 + mixtures) * d_in * d_out
     positional = 2 * window * d_emb + mixtures * d_emb
     per_pixel = 2 * (2 + 1) * d_in * d_out          # Q, K, mixed value transform
@@ -127,78 +140,58 @@ def _stem_attention_entries(name, d_in, d_out, mixtures, d_emb, heads, h, w):
     # forming the 16 mixed value matrices and their mixture weights, per image
     flops += 2 * window * window * mixtures * d_out * d_in
     flops += 2 * window * window * mixtures * d_emb + 5 * window * window * mixtures
-    entries = [CostEntry(name, params, positional, flops, (d_out, h, w)),
-               _bn_entry(name + ".norm", d_out, h, w)]
-    h, w = h // window, w // window
-    entries.append(CostEntry(name + ".pool", 0, 0, 5 * d_out * h * w, (d_out, h, w)))
-    return entries, h, w
+    hb, wb = h // window, w // window
+    return [CostEntry(name, params, positional, flops, (d_out, h, w)),
+            *_batchnorm(name + ".norm", (d_out, h, w), d_out),
+            CostEntry(name + ".pool", 0, 0, 5 * d_out * hb * wb, (d_out, hb, wb))]
+
+
+def _global_pool(name, shape):
+    c, h, w = shape
+    return [CostEntry(name, 0, 0, 5 * c * h * w, (c, 1, 1))]
+
+
+def _linear(name, shape, d_in, d_out, **_):
+    return [CostEntry(name, d_in * d_out + d_out, 0, 2 * d_in * d_out + d_out, (d_out,))]
+
+
+def _bottleneck(name, shape, **kwargs):
+    # both branches start from the block's input and end at its output shape
+    return [entry for branch, chain in zip(Bottleneck.BRANCHES, Bottleneck.plan(**kwargs))
+            for entry in _price_chain(f"{name}.{branch}.", chain, shape)]
+
+
+_PRICERS = {
+    Conv2d: _conv,
+    BatchNorm2d: _batchnorm,
+    ReLU: lambda name, shape: [],
+    MaxPool: lambda name, shape, window, stride: _pool(name, shape, stride),
+    AvgPool2x2: lambda name, shape: _pool(name, shape, 2),
+    LocalAttention: _attention,
+    AttentionStem: _stem,
+    GlobalAvgPool: _global_pool,
+    Linear: _linear,
+    Bottleneck: _bottleneck,
+}
+
+
+def _price_chain(prefix, chain, shape) -> list[CostEntry]:
+    """Entries of a chain of (name, class, kwargs) triples that starts from a
+    (C, H, W) input, each layer priced at the shape its predecessor outputs."""
+    entries = []
+    for name, cls, kwargs in chain:
+        priced = _PRICERS[cls](prefix + name, shape, **kwargs)
+        entries += priced
+        if priced:
+            shape = priced[-1].output_shape
+    return entries
 
 
 def ledger(spec: ModelSpec, resolution: int | None = None) -> CostReport:
-    """Per-layer cost entries for the network the spec describes."""
+    """Per-layer cost entries for the network the spec describes, priced from
+    its layer plan without building it."""
     res = resolution or spec.input_resolution
-    h = w = res
-    widths = spec.widths
-    entries: list[CostEntry] = []
-
-    if spec.stem == "conv_stem":
-        e, h, w = _conv_entry("stem.conv", 3, widths[0], 7, 2, h, w)
-        entries.append(e)
-        entries.append(_bn_entry("stem.norm", widths[0], h, w))
-        if not spec.small_input:
-            h, w = -(-h // 2), -(-w // 2)
-            entries.append(CostEntry("stem.pool", 0, 0, 5 * widths[0] * h * w,
-                                     (widths[0], h, w)))
-    else:
-        stem_entries, h, w = _stem_attention_entries(
-            "stem.attn", 3, widths[0], spec.stem_mixtures, spec.stem_d_emb, 4, h, w)
-        entries.extend(stem_entries)
-
-    d_in = widths[0]
-    for g, (count, mid, tag) in enumerate(zip(spec.block_counts, widths, spec.groups)):
-        d_out = EXPANSION * mid
-        for b in range(count):
-            downsample = g > 0 and b == 0
-            prefix = f"group{g + 1}.block{b}"
-            e, h, w = _conv_entry(f"{prefix}.main.reduce", d_in, mid, 1, 1, h, w)
-            entries.append(e)
-            entries.append(_bn_entry(f"{prefix}.main.norm1", mid, h, w))
-            if tag == "conv":
-                stride = 2 if downsample else 1
-                e, h2, w2 = _conv_entry(f"{prefix}.main.spatial", mid, mid, 3, stride, h, w)
-                entries.append(e)
-            else:
-                entries.append(_attention_entry(
-                    f"{prefix}.main.spatial", mid, mid, spec.k, spec.heads,
-                    spec.encoding_mode, h, w))
-                h2, w2 = h, w
-                if downsample:
-                    h2, w2 = -(-h // 2), -(-w // 2)
-                    entries.append(CostEntry(f"{prefix}.main.downsample", 0, 0,
-                                             5 * mid * h2 * w2, (mid, h2, w2)))
-            entries.append(_bn_entry(f"{prefix}.main.norm2", mid, h2, w2))
-            e, _, _ = _conv_entry(f"{prefix}.main.expand", mid, d_out, 1, 1, h2, w2)
-            entries.append(e)
-            entries.append(_bn_entry(f"{prefix}.main.norm3", d_out, h2, w2))
-            if d_in != d_out or downsample:
-                if downsample and tag == "attention":
-                    entries.append(CostEntry(f"{prefix}.shortcut.pool", 0, 0,
-                                             5 * d_in * h2 * w2, (d_in, h2, w2)))
-                    e, _, _ = _conv_entry(f"{prefix}.shortcut.proj", d_in, d_out, 1, 1, h2, w2)
-                else:
-                    stride = 2 if downsample else 1
-                    e, _, _ = _conv_entry(f"{prefix}.shortcut.proj", d_in, d_out, 1,
-                                          stride, h, w)
-                entries.append(e)
-                entries.append(_bn_entry(f"{prefix}.shortcut.norm", d_out, h2, w2))
-            h, w = h2, w2
-            d_in = d_out
-
-    entries.append(CostEntry("head.pool", 0, 0, 5 * d_in * h * w, (d_in, 1, 1)))
-    entries.append(CostEntry("head.fc", d_in * spec.num_classes + spec.num_classes, 0,
-                             2 * d_in * spec.num_classes + spec.num_classes,
-                             (spec.num_classes,)))
-    return CostReport(CONVENTION, entries)
+    return CostReport(CONVENTION, _price_chain("", plan(spec), (3, res, res)))
 
 
 def _as_spec(model_or_spec) -> ModelSpec:

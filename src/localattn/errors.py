@@ -34,7 +34,7 @@ class ScheduleError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or a gradient became non-finite."""
 
 
 class NonFiniteGradientError(RuntimeError):

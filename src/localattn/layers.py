@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, PaddingError, UnsupportedExtentError
-from .tensorops import pad_hw, sliding_windows, softmax_axis, window_validity
+from .tensorops import pad_hw, sliding_windows, softmax_axis, softmax_vjp, window_validity
 
 MODES = ("none", "absolute", "relative", "relative_only")
 
@@ -249,9 +249,7 @@ class LocalAttention:
         d_attn = (dy_h[..., None, :] @ v_win)[..., 0, :]            # (n, h, H, W, S)
         dv_win = dy_h[..., None] @ attn[..., None, :]               # (n, h, H, W, d, S)
 
-        # softmax backward; masked slots carry attn == 0, hence dlogits == 0
-        inner = np.sum(attn * d_attn, axis=-1, keepdims=True)
-        dlogits = attn * (d_attn - inner)
+        dlogits = softmax_vjp(attn, d_attn)     # masked slots: attn == 0, so 0
 
         grads: dict[str, np.ndarray] = {}
         dq = np.zeros_like(q)
@@ -289,15 +287,6 @@ class LocalAttention:
             grads["W_K"] = np.einsum("nohw,nihw->oi", dk_full, x_in, optimize=True)
         # the absolute-mode position signal is a constant, so dx = dx_in
         return dx_in, grads
-
-
-def relative_embedding_lookup(p: LocalAttention, row_off: int, col_off: int) -> np.ndarray:
-    """Embedding vector for one window offset: [row_emb[row_off + k - 1] ;
-    col_emb[col_off + k - 1]], length d_head."""
-    k = p.k
-    if abs(row_off) > k - 1 or abs(col_off) > k - 1:
-        raise IndexError(f"offsets ({row_off}, {col_off}) outside [-(k-1), k-1] for k={k}")
-    return np.concatenate([p.row_emb[row_off + k - 1], p.col_emb[col_off + k - 1]])
 
 
 class BatchNorm2d:
@@ -398,6 +387,10 @@ class AttentionStem:
             out["norm." + name] = arr
         return out
 
+    @property
+    def named_layers(self):
+        return [("norm", self.norm)]
+
     def mixture_weights(self) -> np.ndarray:
         """(4, 4, M) array of p(a,b,m); rows sum to one."""
         combined = self.emb_row[:, None, :] + self.emb_col[None, :, :]     # (4, 4, E)
@@ -474,8 +467,7 @@ class AttentionStem:
         dyb = to_blocks_grad(d_attended)
         d_attn = np.matmul(np.swapaxes(dyb, -2, -1), vb)
         dvb = np.matmul(dyb, attn)
-        inner = np.sum(attn * d_attn, axis=-1, keepdims=True)
-        dlogits = attn * (d_attn - inner)
+        dlogits = softmax_vjp(attn, d_attn)
         dqb = np.matmul(kb, np.swapaxes(dlogits, -2, -1))
         dkb = np.matmul(qb, dlogits)
 
@@ -497,8 +489,7 @@ class AttentionStem:
 
         grads["W_V"] = np.einsum("abm,aboi->moi", p, d_wmixed, optimize=True)
         dp = np.einsum("aboi,moi->abm", d_wmixed, self.W_V, optimize=True)
-        inner_p = np.sum(p * dp, axis=-1, keepdims=True)
-        dp_logits = p * (dp - inner_p)                                      # (4, 4, M)
+        dp_logits = softmax_vjp(p, dp)                                      # (4, 4, M)
         grads["nu"] = np.einsum(
             "abm,abe->me", dp_logits,
             self.emb_row[:, None, :] + self.emb_col[None, :, :], optimize=True)
@@ -506,13 +497,6 @@ class AttentionStem:
         grads["emb_row"] = d_combined.sum(axis=1)
         grads["emb_col"] = d_combined.sum(axis=0)
         return dx, grads
-
-
-def stem_mixture_weights(s: AttentionStem, a: int, b: int) -> np.ndarray:
-    """Mixture distribution p(a, b, .) for one position of the 4x4 window."""
-    if not (0 <= a < s.WINDOW and 0 <= b < s.WINDOW):
-        raise IndexError(f"window position ({a}, {b}) outside [0, {s.WINDOW})")
-    return s.mixture_weights()[a, b]
 
 
 class MaxPool:
@@ -639,28 +623,3 @@ class Linear:
     def backward(self, dy: np.ndarray, ctx):
         x = ctx
         return dy @ self.weight, {"weight": dy.T @ x, "bias": dy.sum(axis=0)}
-
-
-# functional views of the layer ops, for callers that hold a configured layer
-def conv2d(x: np.ndarray, p: Conv2d) -> np.ndarray:
-    return p.forward(x)[0]
-
-
-def local_attention(x: np.ndarray, p: LocalAttention) -> np.ndarray:
-    return p.forward(x)[0]
-
-
-def stem_attention(x: np.ndarray, s: AttentionStem, training: bool = False) -> np.ndarray:
-    return s.forward(x, training)[0]
-
-
-def batchnorm(x: np.ndarray, p: BatchNorm2d, training: bool = False) -> np.ndarray:
-    return p.forward(x, training)[0]
-
-
-def avg_pool_2x2(x: np.ndarray) -> np.ndarray:
-    return AvgPool2x2().forward(x)[0]
-
-
-def max_pool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    return MaxPool(window, stride).forward(x)[0]

@@ -8,6 +8,9 @@ striding the 3x3, attention blocks by a 2x2 stride-2 average pool after the
 attention), and the stem is either the classic 7x7 stride-2 convolution with a
 3x3 stride-2 max pool or the spatially-aware attention stem.
 
+The architecture is written down once, as a plan of (name, class, kwargs)
+triples: `build_model` instantiates it and `cost.ledger` prices it.
+
 Also home to the two external formats: a plain-text `key = value` model
 configuration and a binary checkpoint (magic, version, manifest, raw arrays).
 """
@@ -207,6 +210,11 @@ class Sequential:
         return d, grads
 
 
+def _instantiate(chain) -> list[tuple[str, object]]:
+    """Build the layers of a chain of (name, class, kwargs) triples, in order."""
+    return [(name, cls(**kwargs)) for name, cls, kwargs in chain]
+
+
 class Bottleneck:
     """1x1 reduce, spatial op (3x3 conv or local attention), 1x1 expand, with
     batch norm after each op and a residual add.
@@ -216,52 +224,58 @@ class Bottleneck:
     pool; the projection shortcut mirrors this (strided 1x1 vs pool + 1x1).
     """
 
+    BRANCHES = ("main", "shortcut")
+
     def __init__(self, d_in: int, mid: int, spatial: str, downsample: bool,
                  k: int, heads: int, encoding_mode: str, bn_decay: float,
                  rng: np.random.Generator, dtype=np.float32):
+        main, shortcut = self.plan(d_in, mid, spatial, downsample, k, heads,
+                                   encoding_mode, bn_decay, rng, dtype)
+        self.main = Sequential(_instantiate(main))
+        self.shortcut = Sequential(_instantiate(shortcut)) if shortcut else None
+
+    @staticmethod
+    def plan(d_in: int, mid: int, spatial: str, downsample: bool, k: int, heads: int,
+             encoding_mode: str, bn_decay: float, rng: np.random.Generator | None = None,
+             dtype=np.float32):
+        """The (main, shortcut) chains as (name, class, kwargs) triples in
+        construction order; the shortcut is empty for an identity skip."""
         d_out = EXPANSION * mid
-        self.d_in, self.d_out, self.spatial_kind = d_in, d_out, spatial
-        main = [
-            ("reduce", Conv2d(d_in, mid, 1, rng=rng, dtype=dtype)),
-            ("norm1", BatchNorm2d(mid, decay=bn_decay, dtype=dtype)),
-            ("act1", ReLU()),
-        ]
+
+        def conv(channels_in, channels_out, size, stride=1):
+            return dict(d_in=channels_in, d_out=channels_out, k=size, stride=stride,
+                        rng=rng, dtype=dtype)
+
+        def norm(channels):
+            return dict(channels=channels, decay=bn_decay, dtype=dtype)
+
+        main = [("reduce", Conv2d, conv(d_in, mid, 1)), ("norm1", BatchNorm2d, norm(mid)),
+                ("act1", ReLU, {})]
         if spatial == "conv":
-            main.append(("spatial", Conv2d(mid, mid, 3, stride=2 if downsample else 1,
-                                           rng=rng, dtype=dtype)))
+            main.append(("spatial", Conv2d, conv(mid, mid, 3, 2 if downsample else 1)))
         else:
-            main.append(("spatial", LocalAttention(mid, mid, k, heads, encoding_mode,
-                                                   rng=rng, dtype=dtype)))
+            main.append(("spatial", LocalAttention, dict(
+                d_in=mid, d_out=mid, k=k, heads=heads, encoding_mode=encoding_mode,
+                rng=rng, dtype=dtype)))
             if downsample:
-                main.append(("downsample", AvgPool2x2()))
-        main += [
-            ("norm2", BatchNorm2d(mid, decay=bn_decay, dtype=dtype)),
-            ("act2", ReLU()),
-            ("expand", Conv2d(mid, d_out, 1, rng=rng, dtype=dtype)),
-            ("norm3", BatchNorm2d(d_out, decay=bn_decay, dtype=dtype)),
-        ]
-        self.main = Sequential(main)
+                main.append(("downsample", AvgPool2x2, {}))
+        main += [("norm2", BatchNorm2d, norm(mid)), ("act2", ReLU, {}),
+                 ("expand", Conv2d, conv(mid, d_out, 1)), ("norm3", BatchNorm2d, norm(d_out))]
+        shortcut = []
         if d_in != d_out or downsample:
-            shortcut = []
-            stride = 1
-            if downsample:
-                if spatial == "conv":
-                    stride = 2
-                else:
-                    shortcut.append(("pool", AvgPool2x2()))
-            shortcut.append(("proj", Conv2d(d_in, d_out, 1, stride=stride,
-                                            rng=rng, dtype=dtype)))
-            shortcut.append(("norm", BatchNorm2d(d_out, decay=bn_decay, dtype=dtype)))
-            self.shortcut: Sequential | None = Sequential(shortcut)
-        else:
-            self.shortcut = None
+            if downsample and spatial != "conv":
+                shortcut.append(("pool", AvgPool2x2, {}))
+            stride = 2 if downsample and spatial == "conv" else 1
+            shortcut += [("proj", Conv2d, conv(d_in, d_out, 1, stride)),
+                         ("norm", BatchNorm2d, norm(d_out))]
+        return main, shortcut
 
     @property
-    def params(self):
-        out = {f"main.{k}": v for k, v in self.main.params.items()}
-        if self.shortcut is not None:
-            out.update({f"shortcut.{k}": v for k, v in self.shortcut.params.items()})
-        return out
+    def named_layers(self):
+        return [(name, branch) for name, branch in zip(self.BRANCHES, (self.main, self.shortcut))
+                if branch is not None]
+
+    params = Sequential.params
 
     def forward(self, x, training: bool = False):
         h, ctx_main = self.main.forward(x, training)
@@ -297,13 +311,7 @@ class Model:
         self.named_layers = list(named_layers)
         self.downsample_factor = downsample_factor
 
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self.named_layers:
-            for key, arr in layer.params.items():
-                out[f"{name}.{key}"] = arr
-        return out
+    params = Sequential.params
 
     def forward(self, x: np.ndarray, training: bool = False):
         height, width = x.shape[2], x.shape[3]
@@ -319,54 +327,70 @@ class Model:
         tape.output_shape = x.shape
         return x, tape
 
+    def named_modules(self):
+        """(dotted name, layer) for every layer, composites before the layers
+        they hold, in forward order."""
+        def walk(prefix, layer):
+            yield prefix, layer
+            for name, sub in getattr(layer, "named_layers", ()):
+                yield from walk(f"{prefix}.{name}", sub)
+
+        for name, layer in self.named_layers:
+            yield from walk(name, layer)
+
     def census(self) -> dict[str, int]:
         """Counts of spatial op kinds, for structural checks."""
         counts = {"attention": 0, "spatial_conv": 0, "pointwise_conv": 0,
                   "attention_stem": 0, "conv_stem": 0}
-        for name, layer in self.named_layers:
+        for name, layer in self.named_modules():
             if isinstance(layer, AttentionStem):
                 counts["attention_stem"] += 1
+            elif isinstance(layer, LocalAttention):
+                counts["attention"] += 1
             elif isinstance(layer, Conv2d):
-                counts["conv_stem" if layer.k > 1 else "pointwise_conv"] += 1
-            elif isinstance(layer, Bottleneck):
-                sub = layer.main.named_layers + (
-                    layer.shortcut.named_layers if layer.shortcut else [])
-                for _, l in sub:
-                    if isinstance(l, LocalAttention):
-                        counts["attention"] += 1
-                    elif isinstance(l, Conv2d):
-                        counts["spatial_conv" if l.k > 1 else "pointwise_conv"] += 1
+                if name.startswith("stem."):
+                    counts["conv_stem"] += 1
+                else:
+                    counts["spatial_conv" if layer.k > 1 else "pointwise_conv"] += 1
         return counts
 
 
-def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
-    """Instantiate the network the spec describes."""
-    rng = np.random.default_rng(seed)
+def plan(spec: ModelSpec, rng: np.random.Generator | None = None, dtype=np.float32):
+    """Top-level (name, class, kwargs) triples of the network the spec
+    describes: stem, bottleneck blocks and head, in construction order."""
     widths = spec.widths
-    layers: list[tuple[str, object]] = []
     if spec.stem == "conv_stem":
-        layers += [
-            ("stem.conv", Conv2d(3, widths[0], 7, stride=2, rng=rng, dtype=dtype)),
-            ("stem.norm", BatchNorm2d(widths[0], decay=spec.bn_decay, dtype=dtype)),
-            ("stem.act", ReLU()),
+        layers = [
+            ("stem.conv", Conv2d, dict(d_in=3, d_out=widths[0], k=7, stride=2,
+                                       rng=rng, dtype=dtype)),
+            ("stem.norm", BatchNorm2d, dict(channels=widths[0], decay=spec.bn_decay,
+                                            dtype=dtype)),
+            ("stem.act", ReLU, {}),
         ]
         if not spec.small_input:
-            layers.append(("stem.pool", MaxPool(3, 2)))
+            layers.append(("stem.pool", MaxPool, dict(window=3, stride=2)))
     else:
-        layers.append(("stem.attn", AttentionStem(
-            3, widths[0], mixtures=spec.stem_mixtures, d_emb=spec.stem_d_emb,
-            heads=4, bn_decay=spec.bn_decay, rng=rng, dtype=dtype)))
+        layers = [("stem.attn", AttentionStem, dict(
+            d_in=3, d_out=widths[0], mixtures=spec.stem_mixtures, d_emb=spec.stem_d_emb,
+            heads=4, bn_decay=spec.bn_decay, rng=rng, dtype=dtype))]
 
     d_in = widths[0]
     for g, (count, mid, tag) in enumerate(zip(spec.block_counts, widths, spec.groups)):
         for b in range(count):
-            downsample = g > 0 and b == 0
-            block = Bottleneck(d_in, mid, tag, downsample, spec.k, spec.heads,
-                               spec.encoding_mode, spec.bn_decay, rng, dtype)
-            layers.append((f"group{g + 1}.block{b}", block))
+            layers.append((f"group{g + 1}.block{b}", Bottleneck, dict(
+                d_in=d_in, mid=mid, spatial=tag, downsample=g > 0 and b == 0, k=spec.k,
+                heads=spec.heads, encoding_mode=spec.encoding_mode, bn_decay=spec.bn_decay,
+                rng=rng, dtype=dtype)))
             d_in = EXPANSION * mid
-    layers.append(("head.pool", GlobalAvgPool()))
-    layers.append(("head.fc", Linear(d_in, spec.num_classes, rng=rng, dtype=dtype)))
+    layers.append(("head.pool", GlobalAvgPool, {}))
+    layers.append(("head.fc", Linear, dict(d_in=d_in, d_out=spec.num_classes,
+                                           rng=rng, dtype=dtype)))
+    return layers
+
+
+def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
+    """Instantiate the network the spec describes."""
+    layers = _instantiate(plan(spec, np.random.default_rng(seed), dtype))
     return Model(spec, layers, spec.downsample_factor)
 
 
@@ -459,23 +483,8 @@ def load_state_into(model: Model, arrays: dict[str, np.ndarray]) -> None:
 def batchnorm_state(model: Model) -> dict[str, np.ndarray]:
     """Running statistics, saved alongside trainable parameters."""
     out = {}
-
-    def visit(prefix, layer):
+    for name, layer in model.named_modules():
         if isinstance(layer, BatchNorm2d):
-            out[f"{prefix}.running_mean"] = layer.running_mean
-            out[f"{prefix}.running_var"] = layer.running_var
-        elif isinstance(layer, AttentionStem):
-            visit(f"{prefix}.norm", layer.norm)
-        elif isinstance(layer, Bottleneck):
-            for name, sub in layer.main.named_layers:
-                visit(f"{prefix}.main.{name}", sub)
-            if layer.shortcut is not None:
-                for name, sub in layer.shortcut.named_layers:
-                    visit(f"{prefix}.shortcut.{name}", sub)
-        elif isinstance(layer, Sequential):
-            for name, sub in layer.named_layers:
-                visit(f"{prefix}.{name}", sub)
-
-    for name, layer in model.named_layers:
-        visit(name, layer)
+            out[f"{name}.running_mean"] = layer.running_mean
+            out[f"{name}.running_var"] = layer.running_var
     return out

@@ -13,23 +13,6 @@ import math
 import numpy as np
 
 
-def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop matrix product with fixed left-to-right accumulation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m, p = a.shape
-    p2, n = b.shape
-    assert p == p2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(p):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def _softmax_list(logits: list[float]) -> list[float]:
     m = max(logits)
     exps = [math.exp(v - m) for v in logits]

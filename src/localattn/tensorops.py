@@ -1,4 +1,4 @@
-"""Dense-array substrate: matrix products, masked softmax, and window gathering.
+"""Dense-array substrate: masked softmax, window validity masks, and window gathering.
 
 Values are plain numpy arrays, interpreted as (batch, channels, height, width)
 when rank 4. Everything here is a pure function of its inputs; float64 is used
@@ -7,26 +7,9 @@ on verification paths and float32 is accepted for training paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateGroupError, DimensionError, UnsupportedExtentError
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product with shape checking.
-
-    Accumulation is delegated to BLAS, which is deterministic run-to-run for
-    fixed shapes on a fixed machine.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_axis(x: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np.ndarray:
@@ -54,58 +37,22 @@ def softmax_axis(x: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-@dataclass
-class NeighborhoodIndex:
-    """Bookkeeping for one k x k window centered on pixel (i, j).
-
-    `members` lists the in-bounds absolute coordinates in row-major window
-    order, `offsets` the matching (a - i, b - j) pairs, and `valid_mask` flags
-    each of the k*k nominal slots (row-major) as in- or out-of-image.
-    """
-
-    center: tuple[int, int]
-    extent: int
-    members: list[tuple[int, int]]
-    offsets: list[tuple[int, int]]
-    valid_mask: np.ndarray
-
-
-def extract_neighborhood(x: np.ndarray, i: int, j: int, k: int):
-    """Copy the k x k window of `x` centered at pixel (i, j).
-
-    Out-of-image slots are zero-filled and flagged False in the index's
-    valid_mask. Only odd k is meaningful for a centered window.
-    """
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise DimensionError(f"expected rank-4 input (N, C, H, W), got shape {x.shape}")
-    if k < 1 or k % 2 == 0:
-        raise UnsupportedExtentError(f"neighborhood extent must be odd and positive, got {k}")
-    n, c, height, width = x.shape
-    if not (0 <= i < height and 0 <= j < width):
-        raise IndexError(f"center ({i}, {j}) outside image of size {height}x{width}")
-
-    half = k // 2
-    window = np.zeros((n, c, k, k), dtype=x.dtype)
-    valid = np.zeros(k * k, dtype=bool)
-    members: list[tuple[int, int]] = []
-    offsets: list[tuple[int, int]] = []
-    for u in range(k):
-        a = i + u - half
-        for v in range(k):
-            b = j + v - half
-            if 0 <= a < height and 0 <= b < width:
-                window[:, :, u, v] = x[:, :, a, b]
-                valid[u * k + v] = True
-                members.append((a, b))
-                offsets.append((a - i, b - j))
-    index = NeighborhoodIndex(center=(i, j), extent=k, members=members,
-                              offsets=offsets, valid_mask=valid)
-    return window, index
+def softmax_vjp(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Cotangent of the logits of p = softmax(logits, -1) given the cotangent
+    dp of p: p * (dp - sum(p * dp, -1)). Overwrites and returns dp. Slots
+    with p == 0 (masked out) get exactly zero."""
+    inner = np.sum(p * dp, axis=-1, keepdims=True)
+    dp -= inner
+    dp *= p
+    return dp
 
 
 def window_validity(height: int, width: int, k: int) -> np.ndarray:
-    """Boolean (H, W, k*k) array: which window slots are in-image per pixel."""
+    """Boolean (H, W, k*k) array: which slots of the k x k window centered on
+    each pixel lie inside the image. Slot u*k + v holds the pixel at offset
+    (u - k//2, v - k//2); only odd k has a centered window."""
+    if k < 1 or k % 2 == 0:
+        raise UnsupportedExtentError(f"neighborhood extent must be odd and positive, got {k}")
     half = k // 2
     rows = np.arange(height)[:, None] + (np.arange(k) - half)[None, :]      # (H, k)
     cols = np.arange(width)[:, None] + (np.arange(k) - half)[None, :]       # (W, k)

@@ -195,7 +195,7 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
 
     Fixed seeds make the metric stream reproducible: initialization, shuffling,
     and augmentation all derive from config.seed and source.seed. A non-finite
-    loss aborts with the last epoch-end state checkpointed.
+    loss or gradient aborts with the last epoch-end state checkpointed.
     """
     (train_x, train_y), (val_x, val_y) = load_data(source)
     model = build_model(spec, seed=config.seed, dtype=dtype)
@@ -221,6 +221,13 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
         history.ema_checkpoint_path = os.path.join(out_dir, "checkpoint_ema.ckpt")
     snapshot = {k: v.copy() for k, v in full_state(model).items()}
 
+    def diverged(what: str) -> DivergenceError:
+        message = f"{what} at step {state.step}"
+        if history.checkpoint_path:
+            save_checkpoint(history.checkpoint_path, snapshot)
+            message += "; last finite state saved"
+        return DivergenceError(message)
+
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_x))
         epoch_loss = 0.0
@@ -235,11 +242,11 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
             logits, tape = model.forward(xb, training=True)
             loss, dlogits = cross_entropy_smoothed(logits, yb, config.label_smoothing)
             if not math.isfinite(loss):
-                if history.checkpoint_path:
-                    save_checkpoint(history.checkpoint_path, snapshot)
-                raise DivergenceError(
-                    f"non-finite loss at step {state.step}; last finite state saved")
-            _, grads = tape.backward(dlogits)
+                raise diverged("non-finite loss")
+            try:
+                _, grads = tape.backward(dlogits)
+            except NonFiniteGradientError as exc:
+                raise diverged(f"non-finite gradient for parameter '{exc.name}'") from exc
             lr = lr_at(schedule, state.step)
             nesterov_step(params, grads, state, lr)
             epoch_loss += loss * len(xb)

@@ -5,7 +5,7 @@ import pytest
 
 from localattn.autodiff import GradTape, backward, gradcheck
 from localattn.errors import ConfigurationError, DimensionError, NonFiniteGradientError
-from localattn.layers import Conv2d, Linear, LocalAttention, ReLU
+from localattn.layers import AttentionStem, BatchNorm2d, Conv2d, Linear, LocalAttention, ReLU
 from localattn.model import ModelSpec, build_model
 from localattn.verify import gradcheck_layers
 
@@ -103,6 +103,14 @@ class TestGradcheck:
 
         report = gradcheck(Broken(), (3, 2), tolerance=1e-4, seed=0)
         assert not report.passed
+
+    def test_leaves_the_callers_running_statistics_unchanged(self):
+        bn = BatchNorm2d(3, dtype=np.float64)
+        stem = AttentionStem(3, 8, rng=np.random.default_rng(11), dtype=np.float64)
+        for layer, norm, shape in ((bn, bn, (3, 3, 4, 4)), (stem, stem.norm, (1, 3, 4, 4))):
+            before = norm.running_mean.tobytes() + norm.running_var.tobytes()
+            assert gradcheck(layer, shape, seed=0, training=True).passed
+            assert norm.running_mean.tobytes() + norm.running_var.tobytes() == before
 
     @pytest.mark.parametrize("label,layer,shape", gradcheck_layers(seed=0),
                              ids=lambda v: v if isinstance(v, str) else "")

@@ -1,5 +1,7 @@
 """Symbolic cost ledger: canonical totals, parity sweep, convention checks."""
 
+import os
+
 import pytest
 
 from localattn.cost import (
@@ -11,7 +13,11 @@ from localattn.cost import (
     count_params,
     ledger,
 )
-from localattn.model import ModelSpec, build_model
+from localattn.layers import ReLU
+from localattn.model import (MODEL_CONFIG_KEYS, Bottleneck, ModelSpec, Sequential, build_model,
+                             read_config)
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def _attention_r50():
@@ -158,3 +164,17 @@ class TestLedgerAgainstBuiltModels:
                          input_resolution=16)
         model = build_model(spec, seed=0)
         assert count_params(model).total_params == count_params(spec).total_params
+
+    @pytest.mark.parametrize("config", sorted(os.listdir(CONFIGS)))
+    def test_entry_names_follow_the_built_model(self, config):
+        mapping = read_config(os.path.join(CONFIGS, config))
+        spec = ModelSpec.from_mapping({k: v for k, v in mapping.items() if k in MODEL_CONFIG_KEYS})
+        names = [e.name for e in ledger(spec).entries]
+        if spec.stem == "attention_stem":
+            # the stem's batch norm and max pool are priced as parts of stem.attn
+            assert names[:3] == ["stem.attn", "stem.attn.norm", "stem.attn.pool"]
+            del names[1:3]
+        runtime = [name for name, layer in build_model(spec).named_modules()
+                   if not isinstance(layer, (Sequential, Bottleneck, ReLU))
+                   and not name.startswith("stem.attn.")]
+        assert names == runtime

@@ -18,8 +18,6 @@ from localattn.layers import (
     LocalAttention,
     MaxPool,
     absolute_position_signal,
-    relative_embedding_lookup,
-    stem_mixture_weights,
 )
 
 MODES = ("none", "absolute", "relative", "relative_only")
@@ -209,38 +207,6 @@ class TestAbsolutePositionSignal:
             absolute_position_signal(5, 4, 4)
 
 
-class TestRelativeEmbeddingLookup:
-    def test_center_offsets_concatenate_center_rows(self):
-        layer = _attn("relative", k=3)
-        got = relative_embedding_lookup(layer, 0, 0)
-        want = np.concatenate([layer.row_emb[2], layer.col_emb[2]])
-        np.testing.assert_array_equal(got, want)
-
-    def test_negative_and_positive_offsets_index_around_center(self):
-        layer = _attn("relative", k=3)
-        got = relative_embedding_lookup(layer, -1, 1)
-        # tables hold 2k−1 rows indexed by offset + (k−1)
-        want = np.concatenate([layer.row_emb[-1 + 2], layer.col_emb[1 + 2]])
-        np.testing.assert_array_equal(got, want)
-
-    def test_exhaustive_k5_lookup_matches_direct_indexing(self):
-        layer = _attn("relative", k=5, d_in=4, d_out=8)
-        seen = set()
-        for row_off in range(-4, 5):
-            for col_off in range(-4, 5):
-                got = relative_embedding_lookup(layer, row_off, col_off)
-                want = np.concatenate([layer.row_emb[row_off + 4],
-                                       layer.col_emb[col_off + 4]])
-                np.testing.assert_array_equal(got, want)
-                seen.add(got.tobytes())
-        assert len(seen) == 81
-
-    def test_out_of_range_offset_raises(self):
-        layer = _attn("relative", k=3)
-        with pytest.raises(IndexError):
-            relative_embedding_lookup(layer, 3, 0)
-
-
 def _stem(seed=0, **kwargs):
     return AttentionStem(3, kwargs.pop("d_out", 8),
                          rng=np.random.default_rng(seed), dtype=np.float64,
@@ -298,13 +264,6 @@ class TestAttentionStem:
     def test_indivisible_input_raises_padding_error(self):
         with pytest.raises(PaddingError):
             _stem(27).forward(np.zeros((1, 3, 10, 8)))
-
-    def test_window_position_accessor_bounds(self):
-        stem = _stem(28)
-        p = stem_mixture_weights(stem, 0, 3)
-        assert p.shape == (4,)
-        with pytest.raises(IndexError):
-            stem_mixture_weights(stem, 4, 0)
 
 
 class TestPools:

@@ -1,39 +1,17 @@
-"""Tensor substrate: matmul, masked softmax, neighborhood extraction."""
+"""Tensor substrate: masked softmax and the k x k window neighborhood that
+local attention reads (padded sliding windows masked by window_validity)."""
 
 import numpy as np
 import pytest
 
-from localattn.errors import DegenerateGroupError, DimensionError, UnsupportedExtentError
-from localattn.reference import matmul_reference
-from localattn.tensorops import (
-    extract_neighborhood,
-    matmul,
-    softmax_axis,
-    window_validity,
-)
+from localattn.errors import DegenerateGroupError, UnsupportedExtentError
+from localattn.tensorops import pad_hw, sliding_windows, softmax_axis, window_validity
 
 
-class TestMatmul:
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-            b = rng.standard_normal((a.shape[1], int(rng.integers(1, 6))))
-            np.testing.assert_allclose(matmul(a, b), matmul_reference(a, b),
-                                       rtol=0, atol=1e-12)
-
-    def test_associativity_within_tolerance(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            a, b, c = (rng.standard_normal((4, 5)), rng.standard_normal((5, 3)),
-                       rng.standard_normal((3, 6)))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right) / (np.abs(left) + 1e-12)) < 1e-9
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"2, 3"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 5)))
+def _in_image(i, j, u, v, k, height, width):
+    """Direct bounds test for slot (u, v) of the window centered on (i, j)."""
+    r, c = i - k // 2 + u, j - k // 2 + v
+    return 0 <= r < height and 0 <= c < width
 
 
 class TestSoftmaxAxis:
@@ -83,63 +61,68 @@ class TestSoftmaxAxis:
 class TestExtractNeighborhood:
     def test_interior_window_fully_valid(self):
         x = np.arange(25, dtype=float).reshape(1, 1, 5, 5)
-        window, idx = extract_neighborhood(x, 2, 2, 3)
-        np.testing.assert_array_equal(window[0, 0], x[0, 0, 1:4, 1:4])
-        assert idx.valid_mask.all()
+        windows = sliding_windows(pad_hw(x, 1), 3)
+        np.testing.assert_array_equal(windows[0, 0, 2, 2], x[0, 0, 1:4, 1:4])
+        assert window_validity(5, 5, 3)[2, 2].all()
 
     def test_corner_has_four_valid_slots(self):
-        x = np.zeros((1, 1, 6, 7))
-        _, idx = extract_neighborhood(x, 0, 0, 3)
-        assert int(idx.valid_mask.sum()) == 4
+        # at the top-left corner only offsets (0, 0), (0, 1), (1, 0), (1, 1)
+        # are in the image: slots u*k + v with u, v >= k//2
+        valid = window_validity(6, 7, 3)[0, 0]
+        assert int(valid.sum()) == 4
+        assert np.flatnonzero(valid).tolist() == [4, 5, 7, 8]
 
     def test_out_of_image_slots_are_zero(self):
         x = np.ones((1, 2, 4, 4))
-        window, idx = extract_neighborhood(x, 0, 0, 3)
-        flat = window.reshape(1, 2, -1)
-        assert np.all(flat[:, :, ~idx.valid_mask] == 0.0)
+        windows = sliding_windows(pad_hw(x, 1), 3).reshape(1, 2, 4, 4, 9)
+        valid = window_validity(4, 4, 3)
+        assert np.all(windows[:, :, ~valid] == 0.0)
+        assert np.all(windows[:, :, valid] == 1.0)
 
     def test_every_window_matches_direct_gather(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 2, 6, 6))
         k = 5
+        windows = sliding_windows(pad_hw(x, k // 2), k)
+        valid = window_validity(6, 6, k)
         for i in range(6):
             for j in range(6):
-                window, idx = extract_neighborhood(x, i, j, k)
                 for u in range(k):
                     for v in range(k):
+                        inside = _in_image(i, j, u, v, k, 6, 6)
                         r, c = i - k // 2 + u, j - k // 2 + v
-                        inside = 0 <= r < 6 and 0 <= c < 6
                         want = x[:, :, r, c] if inside else 0.0
-                        np.testing.assert_array_equal(window[:, :, u, v], want)
-                        assert bool(idx.valid_mask[u * k + v]) == inside
+                        np.testing.assert_array_equal(windows[:, :, i, j, u, v], want)
+                        assert bool(valid[i, j, u * k + v]) == inside
 
     def test_valid_count_matches_geometry(self):
-        x = np.zeros((1, 1, 5, 6))
         for k in (3, 5):
             half = k // 2
+            valid = window_validity(5, 6, k)
             for i in range(5):
                 for j in range(6):
-                    _, idx = extract_neighborhood(x, i, j, k)
                     rows = min(i + half, 4) - max(i - half, 0) + 1
                     cols = min(j + half, 5) - max(j - half, 0) + 1
-                    assert int(idx.valid_mask.sum()) == rows * cols
+                    assert int(valid[i, j].sum()) == rows * cols
 
     def test_even_extent_rejected(self):
         with pytest.raises(UnsupportedExtentError):
-            extract_neighborhood(np.zeros((1, 1, 4, 4)), 1, 1, 2)
+            window_validity(4, 4, 2)
 
     def test_offsets_are_row_major_relative_positions(self):
-        _, idx = extract_neighborhood(np.zeros((1, 1, 5, 5)), 2, 2, 3)
-        assert idx.offsets[0] == (-1, -1)
-        assert idx.offsets[-1] == (1, 1)
-        assert len(idx.offsets) == 9
+        # pixel (r, c) holds 100*r + c, so each slot's value minus the
+        # center's is 100*du + dv for the slot's offset (du, dv)
+        x = (100 * np.arange(5)[:, None] + np.arange(5)[None, :]).astype(float)
+        windows = sliding_windows(pad_hw(x[None, None], 1), 3)
+        got = (windows[0, 0, 2, 2] - x[2, 2]).reshape(-1)
+        offsets = [(du, dv) for du in (-1, 0, 1) for dv in (-1, 0, 1)]
+        assert got.tolist() == [100 * du + dv for du, dv in offsets]
 
 
 class TestWindowValidity:
     def test_matches_per_pixel_extraction(self):
-        x = np.zeros((1, 1, 4, 5))
         table = window_validity(4, 5, 3)
         for i in range(4):
             for j in range(5):
-                _, idx = extract_neighborhood(x, i, j, 3)
-                np.testing.assert_array_equal(table[i, j], idx.valid_mask)
+                want = [_in_image(i, j, u, v, 3, 4, 5) for u in range(3) for v in range(3)]
+                np.testing.assert_array_equal(table[i, j], want)

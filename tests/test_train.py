@@ -325,16 +325,28 @@ class TestTrainLoop:
         assert a.rows == b.rows
         assert a.ema_val_acc == b.ema_val_acc
 
-    def test_nonfinite_loss_aborts_with_state_saved(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("loss,dlogits,save,message", [
+        (float("nan"), 0.0, True,
+         r"^non-finite loss at step 0; last finite state saved$"),
+        (1.0, float("nan"), True,
+         r"^non-finite gradient for parameter 'head.fc.weight' at step 0; "
+         r"last finite state saved$"),
+        (float("nan"), 0.0, False, r"^non-finite loss at step 0$"),
+    ], ids=["loss", "gradient", "loss-without-out-dir"])
+    def test_nonfinite_loss_aborts_with_state_saved(self, tmp_path, monkeypatch,
+                                                    loss, dlogits, save, message):
         spec = _tiny_spec(num_classes=2)
 
         def poisoned(logits, labels, smoothing=0.1):
-            return float("nan"), np.zeros_like(logits)
+            return loss, np.full_like(logits, dlogits)
 
         monkeypatch.setattr("localattn.train.cross_entropy_smoothed", poisoned)
         config = TrainConfig(epochs=2, batch_size=64, peak_lr=0.05, augment=False)
-        with pytest.raises(DivergenceError, match="non-finite"):
-            train_loop(spec, self._source(size=60), config, out_dir=str(tmp_path))
+        with pytest.raises(DivergenceError, match=message):
+            train_loop(spec, self._source(size=60), config,
+                       out_dir=str(tmp_path) if save else None)
+        if not save:
+            return
         saved = load_checkpoint(str(tmp_path / "checkpoint_final.ckpt"))
         reference = full_state(build_model(spec, seed=config.seed))
         assert set(saved) == set(reference)

@@ -121,6 +121,13 @@ class LocalAttention:
       relative_only logits are q.r alone (no W_K is allocated)
     Out-of-image window slots are masked out of the softmax. Output keeps the
     input's spatial size.
+
+    No window of K or V is ever copied out. Q, K and V are C-contiguous
+    (n, heads, d_head, H, W) arrays; K and V are zero-padded once, and slot
+    u*k + v of every pixel's window is the shifted slice [..., u:u+H, v:v+W]
+    of the padded array. Logits and weights are laid out (k*k, n, heads, H, W)
+    so the softmax reduces over the leading axis; ctx[4] views the weights as
+    (n, heads, H, W, k*k).
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, heads: int,
@@ -169,124 +176,115 @@ class LocalAttention:
             out["col_emb"] = self.col_emb
         return out
 
-    def _split_heads(self, t: np.ndarray) -> np.ndarray:
-        n, _, height, width = t.shape
-        return t.reshape(n, self.heads, self.d_head, height, width)
+    def _project(self, w: np.ndarray, x_in: np.ndarray) -> np.ndarray:
+        # (d_out, d_in) @ (n, d_in, H*W) is C-contiguous; einsum would return
+        # channels-last strides, which make every shifted slice read slow
+        n, _, height, width = x_in.shape
+        return (w @ x_in.reshape(n, self.d_in, height * width)).reshape(
+            n, self.heads, self.d_head, height, width)
 
-    def _offset_table(self) -> np.ndarray:
-        # R[u, v] = [row_emb[(u-half) + k-1] ; col_emb[(v-half) + k-1]], which
-        # simplifies to index u+half since k-1 = 2*half for odd k.
-        k, half = self.k, self.k // 2
-        rows = self.row_emb[half:half + k]
-        cols = self.col_emb[half:half + k]
-        table = np.empty((k, k, self.d_head), dtype=self.row_emb.dtype)
-        table[:, :, :self.d_head // 2] = rows[:, None, :]
-        table[:, :, self.d_head // 2:] = cols[None, :, :]
-        return table
+    def _offsets(self, height: int, width: int):
+        """Yield (u*k + v, index of the (H, W) slice of a padded array that
+        window slot (u, v) of every pixel reads)."""
+        for u in range(self.k):
+            for v in range(self.k):
+                yield u * self.k + v, (Ellipsis, slice(u, u + height), slice(v, v + width))
 
-    def _windows(self, t_pad: np.ndarray, height: int, width: int) -> np.ndarray:
-        # (n, heads, d_head, Hp, Wp) -> contiguous (n, heads, H, W, d_head, k*k)
-        win = sliding_windows(t_pad, self.k)                # (n, h, d, H, W, k, k)
-        n, heads = t_pad.shape[0], t_pad.shape[1]
-        win = win.transpose(0, 1, 3, 4, 2, 5, 6)
-        return np.ascontiguousarray(win).reshape(
-            n, heads, height, width, self.d_head, self.k * self.k)
+    def _offset_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
+        # slot (u, v) reads row_emb[(u-half) + k-1] and col_emb[(v-half) + k-1],
+        # which simplifies to index u+half since k-1 = 2*half for odd k
+        half = self.k // 2
+        return self.row_emb[half:half + self.k], self.col_emb[half:half + self.k]
+
+    def _embedding_grad(self, d_offset: np.ndarray, q_part: np.ndarray) -> np.ndarray:
+        # d_offset (k, n, h, H, W) x q_part (n, h, d_head/2, H, W) -> (2k-1, d_head/2)
+        half = self.k // 2
+        d_table = np.zeros_like(self.row_emb)
+        d_table[half:half + self.k] = np.tensordot(
+            d_offset, q_part, axes=([1, 2, 3, 4], [0, 1, 3, 4]))
+        return d_table
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 4 or x.shape[1] != self.d_in:
             raise DimensionError(f"expected (N, {self.d_in}, H, W), got {x.shape}")
         n, _, height, width = x.shape
-        k, half, heads = self.k, self.k // 2, self.heads
+        k, half = self.k, self.k // 2
 
         x_in = x
         if self.encoding_mode == "absolute":
             x_in = x + absolute_position_signal(self.d_in, height, width)[None].astype(x.dtype)
 
-        q = self._split_heads(np.einsum("oi,nihw->nohw", self.W_Q, x_in, optimize=True))
-        q = np.ascontiguousarray(q.transpose(0, 1, 3, 4, 2))        # (n, h, H, W, d)
-        v_win = self._windows(pad_hw(self._split_heads(
-            np.einsum("oi,nihw->nohw", self.W_V, x_in, optimize=True)), half),
-            height, width)
+        q = self._project(self.W_Q, x_in)                          # (n, h, d, H, W)
+        v_pad = pad_hw(self._project(self.W_V, x_in), half)
+        logits = np.zeros((k * k, n, self.heads, height, width), dtype=q.dtype)
+        k_pad = None
+        if self.W_K is not None:
+            k_pad = pad_hw(self._project(self.W_K, x_in), half)
+            for s, at in self._offsets(height, width):
+                np.einsum("nhdij,nhdij->nhij", q, k_pad[at], out=logits[s])
+        if self.row_emb is not None:
+            # q.[row_u; col_v] = q_row.row_u + q_col.col_v: 2k products, not k*k
+            rows, cols = self._offset_embeddings()
+            split = self.d_head // 2
+            grid = logits.reshape(k, k, n, self.heads, height, width)
+            grid += np.tensordot(rows, q[:, :, :split], axes=(1, 2))[:, None]
+            grid += np.tensordot(cols, q[:, :, split:], axes=(1, 2))[None]
 
-        k_win = None
-        if self.encoding_mode != "relative_only":
-            k_win = self._windows(pad_hw(self._split_heads(
-                np.einsum("oi,nihw->nohw", self.W_K, x_in, optimize=True)), half),
-                height, width)
-            logits = (q[..., None, :] @ k_win)[..., 0, :]           # (n, h, H, W, S)
-        else:
-            logits = np.zeros((n, heads, height, width, k * k), dtype=x.dtype)
-        if self.encoding_mode in ("relative", "relative_only"):
-            table = self._offset_table().reshape(k * k, self.d_head)
-            logits += q @ table.T
+        mask = np.moveaxis(window_validity(height, width, k), -1, 0)[:, None, None]
+        attn = softmax_axis(logits, 0, mask)
 
-        mask = window_validity(height, width, k).reshape(1, 1, height, width, k * k)
-        attn = softmax_axis(logits, -1, mask)
-
-        y = (v_win @ attn[..., None])[..., 0]                       # (n, h, H, W, d)
-        y = np.ascontiguousarray(y.transpose(0, 1, 4, 2, 3)).reshape(
-            n, self.d_out, height, width)
-        return y, (x_in, q, k_win, v_win, attn)
-
-    def _scatter_windows(self, d_win: np.ndarray, height: int, width: int) -> np.ndarray:
-        # adjoint of _windows: (n, h, H, W, d, S) -> padded (n, h, d, Hp, Wp)
-        k, half = self.k, self.k // 2
-        n, heads = d_win.shape[0], d_win.shape[1]
-        out = np.zeros((n, heads, self.d_head, height + 2 * half, width + 2 * half),
-                       dtype=d_win.dtype)
-        for u in range(k):
-            for v in range(k):
-                out[:, :, :, u:u + height, v:v + width] += \
-                    d_win[..., u * k + v].transpose(0, 1, 4, 2, 3)
-        return out
+        y = np.zeros_like(q)
+        for s, at in self._offsets(height, width):
+            y += attn[s][:, :, None] * v_pad[at]
+        return (y.reshape(n, self.d_out, height, width),
+                (x_in, q, k_pad, v_pad, np.moveaxis(attn, 0, -1)))
 
     def backward(self, dy: np.ndarray, ctx):
-        x_in, q, k_win, v_win, attn = ctx
+        x_in, q, k_pad, v_pad, attn = ctx
+        attn = np.moveaxis(attn, -1, 0)                            # (k*k, n, h, H, W)
         n, _, height, width = x_in.shape
-        k, half, heads = self.k, self.k // 2, self.heads
-        dy_h = self._split_heads(dy).transpose(0, 1, 3, 4, 2)       # (n, h, H, W, d)
+        k, half = self.k, self.k // 2
+        dy_h = dy.reshape(q.shape)
 
-        d_attn = (dy_h[..., None, :] @ v_win)[..., 0, :]            # (n, h, H, W, S)
-        dv_win = dy_h[..., None] @ attn[..., None, :]               # (n, h, H, W, d, S)
-
-        dlogits = softmax_vjp(attn, d_attn)     # masked slots: attn == 0, so 0
+        d_attn = np.empty_like(attn)
+        dv_pad = np.zeros_like(v_pad)
+        for s, at in self._offsets(height, width):
+            np.einsum("nhdij,nhdij->nhij", dy_h, v_pad[at], out=d_attn[s])
+            dv_pad[at] += attn[s][:, :, None] * dy_h
+        dlogits = softmax_vjp(attn, d_attn, axis=0)    # masked slots: attn == 0, so 0
 
         grads: dict[str, np.ndarray] = {}
         dq = np.zeros_like(q)
-        if self.encoding_mode != "relative_only":
-            dq += (k_win @ dlogits[..., None])[..., 0]
-            dk_win = q[..., None] @ dlogits[..., None, :]
-            dk_pad = self._scatter_windows(dk_win, height, width)
-        if self.encoding_mode in ("relative", "relative_only"):
-            table = self._offset_table().reshape(k * k, self.d_head)
-            dq += dlogits @ table
-            flat_l = dlogits.reshape(-1, k * k)
-            flat_q = q.reshape(-1, self.d_head)
-            d_table = (flat_l.T @ flat_q).reshape(k, k, self.d_head)
-            d_row = np.zeros_like(self.row_emb)
-            d_col = np.zeros_like(self.col_emb)
-            d_row[half:half + k] = d_table[:, :, :self.d_head // 2].sum(axis=1)
-            d_col[half:half + k] = d_table[:, :, self.d_head // 2:].sum(axis=0)
-            grads["row_emb"] = d_row
-            grads["col_emb"] = d_col
+        if k_pad is not None:
+            dk_pad = np.zeros_like(k_pad)
+            for s, at in self._offsets(height, width):
+                g = dlogits[s][:, :, None]
+                dq += g * k_pad[at]
+                dk_pad[at] += g * q
+        if self.row_emb is not None:
+            rows, cols = self._offset_embeddings()
+            split = self.d_head // 2
+            grid = dlogits.reshape(k, k, n, self.heads, height, width)
+            d_rows, d_cols = grid.sum(axis=1), grid.sum(axis=0)    # (k, n, h, H, W)
+            dq[:, :, :split] += np.moveaxis(np.tensordot(rows, d_rows, axes=(0, 0)), 0, 2)
+            dq[:, :, split:] += np.moveaxis(np.tensordot(cols, d_cols, axes=(0, 0)), 0, 2)
+            grads["row_emb"] = self._embedding_grad(d_rows, q[:, :, :split])
+            grads["col_emb"] = self._embedding_grad(d_cols, q[:, :, split:])
 
-        def unpad_merge(t_pad):
-            t = t_pad[:, :, :, half:half + height, half:half + width]
-            return t.reshape(n, self.d_out, height, width)
+        def unpad(t_pad):
+            return t_pad[..., half:half + height, half:half + width]
 
-        dq_full = np.ascontiguousarray(dq.transpose(0, 1, 4, 2, 3)).reshape(
-            n, self.d_out, height, width)
-        dv_full = unpad_merge(self._scatter_windows(dv_win, height, width))
-        dx_in = np.einsum("oi,nohw->nihw", self.W_Q, dq_full, optimize=True)
-        dx_in += np.einsum("oi,nohw->nihw", self.W_V, dv_full, optimize=True)
-        grads["W_Q"] = np.einsum("nohw,nihw->oi", dq_full, x_in, optimize=True)
-        grads["W_V"] = np.einsum("nohw,nihw->oi", dv_full, x_in, optimize=True)
-        if self.encoding_mode != "relative_only":
-            dk_full = unpad_merge(dk_pad)
-            dx_in += np.einsum("oi,nohw->nihw", self.W_K, dk_full, optimize=True)
-            grads["W_K"] = np.einsum("nohw,nihw->oi", dk_full, x_in, optimize=True)
+        per_weight = [("W_Q", self.W_Q, dq), ("W_V", self.W_V, unpad(dv_pad))]
+        if k_pad is not None:
+            per_weight.append(("W_K", self.W_K, unpad(dk_pad)))
+        x_flat = x_in.reshape(n, self.d_in, height * width)
+        dx_in = 0
+        for name, w, d_t in per_weight:
+            d_flat = d_t.reshape(n, self.d_out, height * width)
+            dx_in = dx_in + w.T @ d_flat
+            grads[name] = np.einsum("nop,nip->oi", d_flat, x_flat, optimize=True)
         # the absolute-mode position signal is a constant, so dx = dx_in
-        return dx_in, grads
+        return dx_in.reshape(x_in.shape), grads
 
 
 class BatchNorm2d:

@@ -16,8 +16,8 @@ def softmax_axis(x: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np
     """Numerically stabilized softmax along `axis` with optional boolean mask.
 
     Masked-out slots are exactly zero in the output; each group of unmasked
-    slots sums to one. A group with no unmasked entry raises
-    DegenerateGroupError.
+    slots sums to one. A group with no unmasked entry, or whose unmasked
+    logits are all -inf, raises DegenerateGroupError.
     """
     x = np.asarray(x)
     if not -x.ndim <= axis < x.ndim:
@@ -31,17 +31,22 @@ def softmax_axis(x: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np
     neg_inf = np.array(-np.inf, dtype=x.dtype)
     masked = np.where(mask, x, neg_inf)
     m = np.max(masked, axis=axis, keepdims=True)
-    if np.any(np.isneginf(m)):
-        raise DegenerateGroupError("softmax group with every slot masked out")
+    degenerate = np.isneginf(m)
+    if np.any(degenerate):
+        if np.any(degenerate & ~np.any(mask, axis=axis, keepdims=True)):
+            raise DegenerateGroupError("softmax group with every slot masked out")
+        raise DegenerateGroupError(
+            f"softmax group has non-finite logits: every unmasked logit is -inf "
+            f"in {int(degenerate.sum())} group(s)")
     e = np.where(mask, np.exp(masked - m), 0.0)
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def softmax_vjp(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """Cotangent of the logits of p = softmax(logits, -1) given the cotangent
-    dp of p: p * (dp - sum(p * dp, -1)). Overwrites and returns dp. Slots
-    with p == 0 (masked out) get exactly zero."""
-    inner = np.sum(p * dp, axis=-1, keepdims=True)
+def softmax_vjp(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Cotangent of the logits of p = softmax(logits, axis) given the
+    cotangent dp of p: p * (dp - sum(p * dp, axis)). Overwrites and returns
+    dp. Slots with p == 0 (masked out) get exactly zero."""
+    inner = np.sum(p * dp, axis=axis, keepdims=True)
     dp -= inner
     dp *= p
     return dp

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from localattn import reference as ref
+from localattn.autodiff import gradcheck
 from localattn.errors import (
     ConfigurationError,
     DimensionError,
@@ -21,6 +22,22 @@ from localattn.layers import (
 )
 
 MODES = ("none", "absolute", "relative", "relative_only")
+
+# (batch, H, W, k, heads): a 5x5 image with batch 1, then images smaller than
+# the window, H != W, a single pixel, a single head and k = 1
+SHAPES = {
+    "5x5": (1, 5, 5, 3, 2),
+    "2x2-k7": (2, 2, 2, 7, 2),
+    "3x2-k5": (2, 3, 2, 5, 2),
+    "4x9": (2, 4, 9, 3, 2),
+    "1x1": (2, 1, 1, 3, 2),
+    "heads1": (2, 4, 4, 3, 1),
+    "k1": (2, 4, 4, 1, 2),
+}
+# the 5x5 cases keep the bare mode as their id
+SHAPE_CASES = [pytest.param(shape, mode,
+                            id=mode if shape == "5x5" else f"{shape}-{mode}")
+               for shape in SHAPES for mode in MODES]
 
 
 def _attn(mode, k=3, heads=2, d_in=4, d_out=8, seed=0):
@@ -86,17 +103,26 @@ class TestLocalAttention:
         want = np.einsum("oi,nihw->nohw", layer.W_V, x)
         np.testing.assert_allclose(y[:, :, 2, 2], want[:, :, 2, 2], atol=1e-10)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_matches_per_pixel_oracle(self, mode):
+    @pytest.mark.parametrize("shape,mode", SHAPE_CASES)
+    def test_matches_per_pixel_oracle(self, shape, mode):
+        n, h, w, k, heads = SHAPES[shape]
         rng = np.random.default_rng(7)
-        layer = _attn(mode, k=3, heads=2, d_in=4, d_out=8, seed=8)
-        x = rng.standard_normal((1, 4, 5, 5))
+        layer = _attn(mode, k=k, heads=heads, d_in=4, d_out=4 * heads, seed=8)
+        x = rng.standard_normal((n, 4, h, w))
         y, _ = layer.forward(x)
         want = ref.local_attention_reference(
             x, layer.W_Q, None if mode == "relative_only" else layer.W_K,
             layer.W_V, getattr(layer, "row_emb", None),
-            getattr(layer, "col_emb", None), k=3, heads=2, mode=mode)
-        np.testing.assert_allclose(y, want, atol=1e-8)
+            getattr(layer, "col_emb", None), k=k, heads=heads, mode=mode)
+        np.testing.assert_allclose(y, want, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("shape,mode", SHAPE_CASES)
+    def test_passes_finite_differences(self, shape, mode):
+        n, h, w, k, heads = SHAPES[shape]
+        layer = _attn(mode, k=k, heads=heads, d_in=4, d_out=4 * heads, seed=23)
+        report = gradcheck(layer, (n, 4, h, w), tolerance=1e-4, seed=24,
+                           name=f"LocalAttention {mode} {shape}")
+        assert report.passed, report.line()
 
     def test_relative_only_allocates_no_key_transform(self):
         layer = _attn("relative_only")
@@ -186,6 +212,23 @@ class TestLocalAttention:
         y1, _ = layer.forward(x)
         y2, _ = plain.forward(x + signal[None])
         np.testing.assert_allclose(y1, y2, atol=1e-12)
+
+    def test_saved_context_holds_no_window_copies(self):
+        # padded K/V and one weight per slot, not k*k-sized copies of K and V
+        layer = LocalAttention(64, 64, k=7, heads=8, encoding_mode="relative",
+                               rng=np.random.default_rng(19))
+        x = np.random.default_rng(20).standard_normal((1, 64, 56, 56)).astype(np.float32)
+        _, ctx = layer.forward(x, training=True)
+        owners = {}
+        for a in ctx:
+            if isinstance(a, np.ndarray):
+                while a.base is not None:
+                    a = a.base
+                owners[id(a)] = a.nbytes
+        assert sum(owners.values()) < 12 * 2 ** 20
+        attn = ctx[4]
+        assert attn.shape == (1, 8, 56, 56, 49)
+        np.testing.assert_allclose(attn.sum(-1), 1.0, atol=1e-5)
 
 
 class TestAbsolutePositionSignal:

@@ -57,6 +57,11 @@ class TestSoftmaxAxis:
         with pytest.raises(DegenerateGroupError):
             softmax_axis(np.zeros((2, 2)), -1, mask)
 
+    def test_non_finite_logits_in_a_valid_group_are_named(self):
+        logits = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+        with pytest.raises(DegenerateGroupError, match="non-finite logits"):
+            softmax_axis(logits, -1, np.ones((2, 2), dtype=bool))
+
 
 class TestExtractNeighborhood:
     def test_interior_window_fully_valid(self):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, PaddingError, UnsupportedExtentError
-from .tensorops import pad_hw, sliding_windows, softmax_axis, softmax_vjp, window_validity
+from .tensorops import pad_hw, softmax_axis, softmax_vjp, window_validity
 
 MODES = ("none", "absolute", "relative", "relative_only")
 
@@ -61,8 +61,15 @@ class Conv2d:
     """y_ij = sum over the k x k neighborhood of W_{i-a, j-b} x_ab, with zero
     padding and output centers at i'*stride, so H' = ceil(H/stride).
 
-    weight shape (k, k, d_out, d_in), indexed by (i-a+half, j-b+half); the
-    im2col fast path therefore contracts against the spatially flipped kernel.
+    weight shape (k, k, d_out, d_in), indexed by (i-a+half, j-b+half). Both
+    passes are GEMMs on C-contiguous NCHW arrays. The zero-padded input xp is
+    copied once into a slot-major column matrix of shape (n, k*k*C, H'*W'):
+    row (u*k + v)*C + c holds xp[:, c, u::stride, v::stride], the input at
+    offset (u - half, v - half) from each output center. The weight matrix
+    that multiplies it is weight[::-1, ::-1].transpose(2, 0, 1, 3) reshaped
+    to (d_out, k*k*C), so C is the contiguous inner run of both. A 1x1
+    stride-1 input is its own column matrix and is never copied. ctx keeps
+    only the padded input; backward rebuilds the columns.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, stride: int = 1,
@@ -79,35 +86,57 @@ class Conv2d:
     def params(self):
         return {"weight": self.weight}
 
+    def _weight_matrix(self) -> np.ndarray:
+        return self.weight[::-1, ::-1].transpose(2, 0, 1, 3).reshape(
+            self.d_out, self.k * self.k * self.d_in)
+
+    def _slots(self, h_out: int, w_out: int):
+        """Yield (u, v, index of the strided (H', W') slice of the padded
+        input that slot (u, v) of every output center reads)."""
+        s = self.stride
+        for u in range(self.k):
+            for v in range(self.k):
+                yield u, v, (Ellipsis, slice(u, u + s * h_out, s), slice(v, v + s * w_out, s))
+
+    def _columns(self, xp: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
+        n, c = xp.shape[:2]
+        if self.k == 1 and self.stride == 1:
+            return xp.reshape(n, c, h_out * w_out)
+        cols = np.empty((n, self.k, self.k, c, h_out, w_out), dtype=xp.dtype)
+        for u, v, at in self._slots(h_out, w_out):
+            cols[:, u, v] = xp[at]
+        return cols.reshape(n, self.k * self.k * c, h_out * w_out)
+
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 4 or x.shape[1] != self.d_in:
             raise DimensionError(
                 f"expected (N, {self.d_in}, H, W), got {x.shape}")
-        half = self.k // 2
-        xp = pad_hw(x, half)
-        win = sliding_windows(xp, self.k)                       # (N, C, H, W, k, k) view
-        win = win[:, :, ::self.stride, ::self.stride]
-        flipped = self.weight[::-1, ::-1]
-        y = np.einsum("uvoc,ncijuv->noij", flipped, win, optimize=True)
-        return y, (x.shape, win)
+        n, _, height, width = x.shape
+        h_out, w_out = -(-height // self.stride), -(-width // self.stride)
+        xp = pad_hw(x, self.k // 2)
+        y = self._weight_matrix() @ self._columns(xp, h_out, w_out)
+        return y.reshape(n, self.d_out, h_out, w_out), (x.shape, xp)
 
     def backward(self, dy: np.ndarray, ctx):
-        x_shape, win = ctx
+        x_shape, xp = ctx
         n, c, height, width = x_shape
-        half = self.k // 2
-        flipped = self.weight[::-1, ::-1]
-        d_flipped = np.einsum("noij,ncijuv->uvoc", dy, win, optimize=True)
-        dw = d_flipped[::-1, ::-1].astype(self.weight.dtype)
-
+        k, half = self.k, self.k // 2
         h_out, w_out = dy.shape[2], dy.shape[3]
-        dxp = np.zeros((n, c, height + 2 * half, width + 2 * half), dtype=dy.dtype)
-        for u in range(self.k):
-            for v in range(self.k):
-                patch = np.einsum("noij,oc->ncij", dy, flipped[u, v], optimize=True)
-                dxp[:, :, u:u + h_out * self.stride:self.stride,
-                    v:v + w_out * self.stride:self.stride] += patch
+        dy_flat = dy.reshape(n, self.d_out, h_out * w_out)
+
+        d_mat = np.tensordot(dy_flat, self._columns(xp, h_out, w_out), axes=([0, 2], [0, 2]))
+        dw = d_mat.reshape(self.d_out, k, k, c).transpose(1, 2, 0, 3)[::-1, ::-1]
+        grads = {"weight": np.ascontiguousarray(dw, dtype=self.weight.dtype)}
+
+        d_cols = self._weight_matrix().T @ dy_flat                   # (n, k*k*C, H'*W')
+        if k == 1 and self.stride == 1:
+            return d_cols.reshape(x_shape), grads
+        d_cols = d_cols.reshape(n, k, k, c, h_out, w_out)
+        dxp = np.zeros(xp.shape, dtype=d_cols.dtype)
+        for u, v, at in self._slots(h_out, w_out):
+            dxp[at] += d_cols[:, u, v]
         dx = dxp[:, :, half:half + height, half:half + width]
-        return dx, {"weight": dw}
+        return np.ascontiguousarray(dx), grads
 
 
 class LocalAttention:
@@ -282,7 +311,7 @@ class LocalAttention:
         for name, w, d_t in per_weight:
             d_flat = d_t.reshape(n, self.d_out, height * width)
             dx_in = dx_in + w.T @ d_flat
-            grads[name] = np.einsum("nop,nip->oi", d_flat, x_flat, optimize=True)
+            grads[name] = np.tensordot(d_flat, x_flat, axes=([0, 2], [0, 2]))
         # the absolute-mode position signal is a constant, so dx = dx_in
         return dx_in.reshape(x_in.shape), grads
 
@@ -415,8 +444,9 @@ class AttentionStem:
             return np.ascontiguousarray(tb.transpose(0, 1, 3, 5, 2, 4, 6)).reshape(
                 n, heads, hb, wb, dh, win * win)
 
-        q = np.einsum("oi,nihw->nohw", self.W_Q, x, optimize=True)
-        key = np.einsum("oi,nihw->nohw", self.W_K, x, optimize=True)
+        x_flat = x.reshape(n, self.d_in, height * width)
+        q = (self.W_Q @ x_flat).reshape(n, self.d_out, height, width)
+        key = (self.W_K @ x_flat).reshape(n, self.d_out, height, width)
         xb = x.reshape(n, self.d_in, hb, win, wb, win)
         vt = np.einsum("aboi,nihavb->nohavb", w_mixed, xb, optimize=True)
         vt = vt.reshape(n, self.d_out, height, width)
@@ -474,10 +504,12 @@ class AttentionStem:
         dvt = from_blocks(dvb)
 
         grads = {"norm." + k: v for k, v in bn_grads.items()}
-        grads["W_Q"] = np.einsum("nohw,nihw->oi", dq, x, optimize=True)
-        grads["W_K"] = np.einsum("nohw,nihw->oi", dk, x, optimize=True)
-        dx = np.einsum("oi,nohw->nihw", self.W_Q, dq, optimize=True)
-        dx += np.einsum("oi,nohw->nihw", self.W_K, dk, optimize=True)
+        x_flat = x.reshape(n, self.d_in, height * width)
+        dq_flat = dq.reshape(n, self.d_out, height * width)
+        dk_flat = dk.reshape(n, self.d_out, height * width)
+        grads["W_Q"] = np.tensordot(dq_flat, x_flat, axes=([0, 2], [0, 2]))
+        grads["W_K"] = np.tensordot(dk_flat, x_flat, axes=([0, 2], [0, 2]))
+        dx = (self.W_Q.T @ dq_flat + self.W_K.T @ dk_flat).reshape(x.shape)
 
         xb = x.reshape(n, self.d_in, hb, win, wb, win)
         dvtb = dvt.reshape(n, self.d_out, hb, win, wb, win)

@@ -16,8 +16,9 @@ def softmax_axis(x: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np
     """Numerically stabilized softmax along `axis` with optional boolean mask.
 
     Masked-out slots are exactly zero in the output; each group of unmasked
-    slots sums to one. A group with no unmasked entry, or whose unmasked
-    logits are all -inf, raises DegenerateGroupError.
+    slots sums to one. With a mask, a group with no unmasked entry, or whose
+    unmasked logits hold a +inf or NaN or are all -inf, raises
+    DegenerateGroupError.
     """
     x = np.asarray(x)
     if not -x.ndim <= axis < x.ndim:
@@ -31,13 +32,13 @@ def softmax_axis(x: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np
     neg_inf = np.array(-np.inf, dtype=x.dtype)
     masked = np.where(mask, x, neg_inf)
     m = np.max(masked, axis=axis, keepdims=True)
-    degenerate = np.isneginf(m)
+    degenerate = ~np.isfinite(m)
     if np.any(degenerate):
         if np.any(degenerate & ~np.any(mask, axis=axis, keepdims=True)):
             raise DegenerateGroupError("softmax group with every slot masked out")
         raise DegenerateGroupError(
-            f"softmax group has non-finite logits: every unmasked logit is -inf "
-            f"in {int(degenerate.sum())} group(s)")
+            f"softmax group has non-finite logits: a +inf or NaN logit, or every "
+            f"unmasked logit -inf, in {int(degenerate.sum())} group(s)")
     e = np.where(mask, np.exp(masked - m), 0.0)
     return e / np.sum(e, axis=axis, keepdims=True)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetSource, load_data
-from .errors import DivergenceError, NonFiniteGradientError, ScheduleError
+from .errors import DegenerateGroupError, DivergenceError, NonFiniteGradientError, ScheduleError
 from .model import Model, ModelSpec, build_model, full_state, save_checkpoint
 
 
@@ -239,7 +239,10 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
                 flip = rng.random(len(xb)) < 0.5
                 xb = xb.copy()
                 xb[flip] = xb[flip][:, :, :, ::-1]
-            logits, tape = model.forward(xb, training=True)
+            try:
+                logits, tape = model.forward(xb, training=True)
+            except DegenerateGroupError as exc:    # attention logits overflowed
+                raise diverged(str(exc)) from exc
             loss, dlogits = cross_entropy_smoothed(logits, yb, config.label_smoothing)
             if not math.isfinite(loss):
                 raise diverged("non-finite loss")

@@ -40,6 +40,32 @@ SHAPE_CASES = [pytest.param(shape, mode,
                for shape in SHAPES for mode in MODES]
 
 
+# (batch, H, W, k, stride): the 5x5 batch-1 case, k = 1 at both strides, a
+# strided 3x3 on an odd size, an image smaller than k, the stem's 7x7 stride 2,
+# a single pixel and a strided batch-1 case
+CONV_SHAPES = {
+    "5x5-k3": (1, 5, 5, 3, 1),
+    "k1": (2, 4, 5, 1, 1),
+    "k1-s2": (2, 5, 4, 1, 2),
+    "7x6-k3-s2": (2, 7, 6, 3, 2),
+    "2x3-k5": (2, 2, 3, 5, 1),
+    "11x9-k7-s2": (2, 11, 9, 7, 2),
+    "1x1": (2, 1, 1, 3, 1),
+    "batch1-s2": (1, 6, 5, 3, 2),
+}
+
+
+def _owned_bytes(ctx) -> int:
+    """Bytes of the distinct arrays that own the memory of ctx's arrays."""
+    owners = {}
+    for a in ctx:
+        if isinstance(a, np.ndarray):
+            while a.base is not None:
+                a = a.base
+            owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
 def _attn(mode, k=3, heads=2, d_in=4, d_out=8, seed=0):
     return LocalAttention(d_in, d_out, k=k, heads=heads, encoding_mode=mode,
                           rng=np.random.default_rng(seed), dtype=np.float64)
@@ -60,13 +86,35 @@ class TestConv2d:
         y, _ = layer.forward(np.full((1, 1, 5, 5), c))
         np.testing.assert_allclose(y[0, 0, 2, 2], 9 * c, atol=1e-12)
 
-    def test_matches_nested_loop_oracle(self):
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_matches_nested_loop_oracle(self, shape):
+        n, h, w, k, stride = CONV_SHAPES[shape]
         rng = np.random.default_rng(2)
-        layer = Conv2d(2, 3, 3, rng=rng, dtype=np.float64)
-        x = rng.standard_normal((1, 2, 5, 5))
+        layer = Conv2d(2, 3, k, stride=stride, rng=rng, dtype=np.float64)
+        x = rng.standard_normal((n, 2, h, w))
         y, _ = layer.forward(x)
-        np.testing.assert_allclose(y, ref.conv2d_reference(x, layer.weight),
-                                   atol=1e-10)
+        np.testing.assert_allclose(y, ref.conv2d_reference(x, layer.weight, stride),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_passes_finite_differences(self, shape):
+        n, h, w, k, stride = CONV_SHAPES[shape]
+        layer = Conv2d(2, 3, k, stride=stride, rng=np.random.default_rng(25),
+                       dtype=np.float64)
+        report = gradcheck(layer, (n, 2, h, w), tolerance=1e-4, seed=26,
+                           name=f"Conv2d {shape}")
+        assert report.passed, report.line()
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_outputs_and_gradients_are_contiguous_and_ctx_keeps_no_columns(self, k, stride):
+        layer = Conv2d(16, 32, k, stride=stride, rng=np.random.default_rng(27))
+        x = np.random.default_rng(28).standard_normal((2, 16, 14, 14)).astype(np.float32)
+        y, ctx = layer.forward(x)
+        dx, grads = layer.backward(np.ones_like(y), ctx)
+        for a in (y, dx, grads["weight"]):
+            assert a.flags.c_contiguous, a.strides
+        padded = x.itemsize * 2 * 16 * (14 + 2 * (k // 2)) ** 2
+        assert _owned_bytes(ctx) <= padded
 
     def test_strided_output_is_ceil_h_over_s(self):
         layer = Conv2d(2, 2, 3, stride=2, rng=np.random.default_rng(3),
@@ -219,13 +267,7 @@ class TestLocalAttention:
                                rng=np.random.default_rng(19))
         x = np.random.default_rng(20).standard_normal((1, 64, 56, 56)).astype(np.float32)
         _, ctx = layer.forward(x, training=True)
-        owners = {}
-        for a in ctx:
-            if isinstance(a, np.ndarray):
-                while a.base is not None:
-                    a = a.base
-                owners[id(a)] = a.nbytes
-        assert sum(owners.values()) < 12 * 2 ** 20
+        assert _owned_bytes(ctx) < 12 * 2 ** 20
         attn = ctx[4]
         assert attn.shape == (1, 8, 56, 56, 49)
         np.testing.assert_allclose(attn.sum(-1), 1.0, atol=1e-5)

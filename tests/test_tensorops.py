@@ -57,8 +57,10 @@ class TestSoftmaxAxis:
         with pytest.raises(DegenerateGroupError):
             softmax_axis(np.zeros((2, 2)), -1, mask)
 
-    def test_non_finite_logits_in_a_valid_group_are_named(self):
-        logits = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+    @pytest.mark.parametrize("row", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, -np.inf]],
+                             ids=["pos-inf", "nan", "all-neg-inf"])
+    def test_non_finite_logits_in_a_valid_group_are_named(self, row):
+        logits = np.array([[0.0, 1.0], row])
         with pytest.raises(DegenerateGroupError, match="non-finite logits"):
             softmax_axis(logits, -1, np.ones((2, 2), dtype=bool))
 

@@ -19,6 +19,7 @@ from localattn.errors import (
     NonFiniteGradientError,
     ScheduleError,
 )
+from localattn.layers import LocalAttention
 from localattn.model import ModelSpec, build_model, full_state, load_checkpoint, load_state_into
 from localattn.train import (
     METRICS_HEADER,
@@ -352,6 +353,23 @@ class TestTrainLoop:
         assert set(saved) == set(reference)
         for name in reference:
             np.testing.assert_array_equal(saved[name], reference[name])
+
+    def test_non_finite_attention_logits_abort_with_state_saved(self, tmp_path, monkeypatch):
+        def overflowing(spec, seed=0, dtype=np.float32):
+            model = build_model(spec, seed=seed, dtype=dtype)
+            for _, layer in model.named_modules():
+                if isinstance(layer, LocalAttention):
+                    layer.W_Q[...] = np.inf
+            return model
+
+        monkeypatch.setattr("localattn.train.build_model", overflowing)
+        config = TrainConfig(epochs=2, batch_size=64, peak_lr=0.05, augment=False)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DivergenceError, match=r"^softmax group has non-finite logits"
+                                       r".* at step 0; last finite state saved$"):
+            train_loop(_tiny_spec(num_classes=2), self._source(size=60), config,
+                       out_dir=str(tmp_path))
+        assert (tmp_path / "checkpoint_final.ckpt").is_file()
 
     def test_ema_shadow_evaluation_is_reported(self):
         spec = _tiny_spec(num_classes=2)

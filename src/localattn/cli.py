@@ -38,48 +38,19 @@ from .verify import gradcheck_suite, run_all
 
 _PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
-_MODEL_FLAGS = (
-    ("--depth", "depth", int),
-    ("--block-counts", "block_counts", str),
-    ("--width-multiplier", "width_multiplier", float),
-    ("--groups", "groups", str),
-    ("--stem", "stem", str),
-    ("--k", "k", int),
-    ("--heads", "heads", int),
-    ("--encoding-mode", "encoding_mode", str),
-    ("--num-classes", "num_classes", int),
-    ("--resolution", "input_resolution", int),
-    ("--small-input", "small_input", str),
-    ("--stem-mixtures", "stem_mixtures", int),
-    ("--stem-d-emb", "stem_d_emb", int),
-    ("--bn-decay", "bn_decay", float),
-)
-
-_TRAIN_FLAGS = (
-    ("--epochs", "epochs", int),
-    ("--batch-size", "batch_size", int),
-    ("--peak-lr", "peak_lr", float),
-    ("--momentum", "momentum", float),
-    ("--warmup-epochs", "warmup_epochs", float),
-    ("--ema-decay", "ema_decay", float),
-    ("--label-smoothing", "label_smoothing", float),
-    ("--augment", "augment", str),
-)
-
-_DATA_FLAGS = (
-    ("--data-kind", "data_kind", str),
-    ("--data-path", "data_path", str),
-    ("--data-task", "data_task", str),
-    ("--data-size", "data_size", int),
-    ("--data-seed", "data_seed", int),
-    ("--data-limit", "data_limit", int),
-    ("--data-val-fraction", "data_val_fraction", float),
-)
+# A field's flag is `--` and its config key with dashes, except these; `seed`
+# has no flag of its own because the common `--seed` sets it.
+_FLAG_NAMES = {"input_resolution": "--resolution", "seed": None}
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
-    for flag, dest, typ in flags:
-        parser.add_argument(flag, dest=dest, type=typ, default=None)
+def _add_flags(parser: argparse.ArgumentParser, *records) -> None:
+    """One flag per record field; a flag not given leaves no attribute."""
+    for record in records:
+        for field in record.config_fields():
+            flag = _FLAG_NAMES.get(field.key, "--" + field.key.replace("_", "-"))
+            if flag:
+                parser.add_argument(flag, dest=field.key, type=field.parse,
+                                    default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="plain-text `key = value` configuration file")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--precision", choices=sorted(_PRECISIONS), default=None)
     common.add_argument("--out", default=None,
                         help="where to write outputs (directory for train, "
@@ -99,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common],
                        help="parameter/FLOP ledger for a model spec")
-    _add_flags(p, _MODEL_FLAGS)
+    _add_flags(p, ModelSpec)
 
     p = sub.add_parser("parity", parents=[common],
                        help="conv vs attention per-pixel cost sweep")
@@ -116,44 +87,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle, invariant, and gradient suites")
 
     p = sub.add_parser("train", parents=[common], help="desk-scale training run")
-    _add_flags(p, _MODEL_FLAGS)
-    _add_flags(p, _TRAIN_FLAGS)
-    _add_flags(p, _DATA_FLAGS)
+    _add_flags(p, ModelSpec, TrainConfig, DatasetSource)
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate a checkpoint on the validation split")
     p.add_argument("--checkpoint", required=True)
-    _add_flags(p, _MODEL_FLAGS)
-    _add_flags(p, _DATA_FLAGS)
+    _add_flags(p, ModelSpec, DatasetSource)
 
     return parser
 
 
-def _resolve_mapping(args: argparse.Namespace, flag_groups) -> dict[str, str]:
-    """Config file values overlaid with explicitly given flags."""
-    mapping: dict[str, str] = {}
-    if args.config:
-        mapping.update(read_config(args.config))
-    known = MODEL_CONFIG_KEYS | TRAIN_CONFIG_KEYS | set(DATA_CONFIG_KEYS) | {"seed"}
-    unknown = sorted(set(mapping) - known)
+def _resolve(args: argparse.Namespace, *records) -> list:
+    """Each record from the config file's values with the given flags on top."""
+    mapping = read_config(args.config) if args.config else {}
+    unknown = sorted(set(mapping) - MODEL_CONFIG_KEYS - TRAIN_CONFIG_KEYS - DATA_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown configuration keys: {', '.join(unknown)}")
-    for flags in flag_groups:
-        for _, dest, _ in flags:
-            value = getattr(args, dest, None)
-            if value is not None:
-                mapping[dest] = str(value)
-    return mapping
+    given = vars(args)
+    return [record.from_mapping(mapping, **{f.name: given[f.key]
+                                            for f in record.config_fields() if f.key in given})
+            for record in records]
 
 
-def _select(mapping: dict[str, str], keys) -> dict[str, str]:
-    return {k: v for k, v in mapping.items() if k in keys}
-
-
-def _echo(lines: list[str], mapping: dict[str, str]) -> None:
-    lines.append("resolved configuration:")
-    for key in sorted(mapping):
-        lines.append(f"  {key} = {mapping[key]}")
+def _echo(mapping: dict[str, str]) -> list[str]:
+    return ["resolved configuration:"] + [f"  {key} = {mapping[key]}" for key in sorted(mapping)]
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -165,10 +122,8 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _cmd_count(args) -> int:
-    mapping = _resolve_mapping(args, [_MODEL_FLAGS])
-    spec = ModelSpec.from_mapping(_select(mapping, MODEL_CONFIG_KEYS))
-    lines: list[str] = []
-    _echo(lines, spec.to_mapping())
+    (spec,) = _resolve(args, ModelSpec)
+    lines = _echo(spec.to_mapping())
     lines.append(ledger(spec).table())
     _emit(lines, args.out)
     return 0
@@ -176,10 +131,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_parity(args) -> int:
     report = cost_parity(args.d, args.conv_k, heads=args.heads, mode=args.mode)
-    lines: list[str] = []
-    _echo(lines, {"d": str(args.d), "conv_k": str(args.conv_k),
-                  "heads": str(args.heads), "mode": args.mode,
-                  "convention": CONVENTION})
+    lines = _echo({"d": str(args.d), "conv_k": str(args.conv_k), "heads": str(args.heads),
+                   "mode": args.mode, "convention": CONVENTION})
     lines.append(f"convolution k={args.conv_k}: "
                  f"{report.conv_flops_per_pixel} flops/pixel")
     lines.append(f"{'attention k':>12s} {'flops/pixel':>14s} {'conv/attn':>10s}")
@@ -202,7 +155,7 @@ def _require_f64(args) -> None:
 def _cmd_gradcheck(args) -> int:
     _require_f64(args)
     start = time.perf_counter()
-    suite = gradcheck_suite(seed=args.seed, tolerance=args.tolerance)
+    suite = gradcheck_suite(seed=getattr(args, "seed", 0), tolerance=args.tolerance)
     lines = suite.lines()
     _emit(lines, args.out)
     print(f"# time gradcheck {time.perf_counter() - start:.1f}s")
@@ -212,7 +165,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_verify(args) -> int:
     _require_f64(args)
     start = time.perf_counter()
-    suites = run_all(seed=args.seed)
+    suites = run_all(seed=getattr(args, "seed", 0))
     lines: list[str] = []
     for suite in suites:
         lines.extend(suite.lines())
@@ -223,27 +176,10 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _split_train_mappings(args, include_train=True):
-    groups = [_MODEL_FLAGS, _DATA_FLAGS] + ([_TRAIN_FLAGS] if include_train else [])
-    mapping = _resolve_mapping(args, groups)
-    spec = ModelSpec.from_mapping(_select(mapping, MODEL_CONFIG_KEYS))
-    source = DatasetSource.from_mapping(_select(mapping, DATA_CONFIG_KEYS))
-    train_map = _select(mapping, TRAIN_CONFIG_KEYS)
-    if args.seed is not None:
-        train_map.setdefault("seed", str(args.seed))
-    config = TrainConfig.from_mapping(train_map)
-    return spec, source, config
-
-
 def _cmd_train(args) -> int:
-    spec, source, config = _split_train_mappings(args)
-    resolved = {}
-    resolved.update(spec.to_mapping())
-    resolved.update(source.to_mapping())
-    resolved.update(config.to_mapping())
-    lines: list[str] = []
-    _echo(lines, resolved)
-    print("\n".join(lines))
+    spec, source, config = _resolve(args, ModelSpec, DatasetSource, TrainConfig)
+    print("\n".join(_echo({**spec.to_mapping(), **source.to_mapping(),
+                           **config.to_mapping()})))
     dtype = _PRECISIONS[args.precision or "f32"]
     start = time.perf_counter()
     history = train_loop(spec, source, config, out_dir=args.out,
@@ -261,15 +197,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    spec, source, _ = _split_train_mappings(args, include_train=False)
-    resolved = {}
-    resolved.update(spec.to_mapping())
-    resolved.update(source.to_mapping())
-    resolved["checkpoint"] = args.checkpoint
-    lines: list[str] = []
-    _echo(lines, resolved)
+    spec, source = _resolve(args, ModelSpec, DatasetSource)
+    lines = _echo({**spec.to_mapping(), **source.to_mapping(), "checkpoint": args.checkpoint})
     dtype = _PRECISIONS[args.precision or "f32"]
-    model = build_model(spec, seed=args.seed, dtype=dtype)
+    model = build_model(spec, seed=getattr(args, "seed", 0), dtype=dtype)
     load_state_into(model, load_checkpoint(args.checkpoint))
     start = time.perf_counter()
     _, (val_x, val_y) = load_data(source)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigRecord
 from .errors import ConfigurationError, IngestionError
 
 RECORD_BYTES = 3073
@@ -33,15 +34,17 @@ IMAGE_SHAPE = (3, 32, 32)
 
 
 @dataclass
-class DatasetSource:
+class DatasetSource(ConfigRecord):
     """Where training data comes from.
 
     kind "cifar10_binary": `path` is a .bin file or a directory of
     data_batch_*.bin files. kind "synthetic": `task` picks the generator and
     `size` the number of images. `limit` caps the training subset;
     `val_fraction` of the (post-limit) training size is held out from records
-    beyond the subset.
+    beyond the subset. Config keys carry a `data_` prefix.
     """
+
+    KEY_PREFIX = "data_"
 
     kind: str = "synthetic"
     path: str | None = None
@@ -57,42 +60,8 @@ class DatasetSource:
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigurationError(f"val_fraction must be in (0,1), got {self.val_fraction}")
 
-    def to_mapping(self) -> dict[str, str]:
-        out = {
-            "data_kind": self.kind,
-            "data_task": self.task,
-            "data_size": str(self.size),
-            "data_seed": str(self.seed),
-            "data_val_fraction": repr(self.val_fraction),
-        }
-        if self.path is not None:
-            out["data_path"] = self.path
-        if self.limit is not None:
-            out["data_limit"] = str(self.limit)
-        return out
 
-    @classmethod
-    def from_mapping(cls, m: dict[str, str]) -> "DatasetSource":
-        kwargs = {}
-        if "data_kind" in m:
-            kwargs["kind"] = m["data_kind"].strip()
-        if "data_path" in m:
-            kwargs["path"] = m["data_path"].strip()
-        if "data_task" in m:
-            kwargs["task"] = m["data_task"].strip()
-        for key, name in (("data_size", "size"), ("data_seed", "seed"),
-                          ("data_limit", "limit")):
-            if key in m:
-                kwargs[name] = int(m[key])
-        if "data_val_fraction" in m:
-            kwargs["val_fraction"] = float(m["data_val_fraction"])
-        return cls(**kwargs)
-
-
-DATA_CONFIG_KEYS = frozenset({
-    "data_kind", "data_path", "data_task", "data_size", "data_seed",
-    "data_limit", "data_val_fraction",
-})
+DATA_CONFIG_KEYS = frozenset(f.key for f in DatasetSource.config_fields())
 
 
 def read_cifar10_file(path: str):

@@ -569,10 +569,8 @@ class MaxPool:
         out_i, out_j = np.meshgrid(np.arange(h_out), np.arange(w_out), indexing="ij")
         rows = out_i * s - pad_h + arg // w
         cols = out_j * s - pad_w + arg % w
-        for img in range(n):
-            for ch in range(c):
-                np.add.at(dx[img, ch], (rows[img, ch].ravel(), cols[img, ch].ravel()),
-                          dy[img, ch].ravel())
+        plane = np.arange(n * c).reshape(n, c, 1, 1)
+        np.add.at(dx.ravel(), ((plane * height + rows) * width + cols).ravel(), dy.ravel())
         return dx, {}
 
 

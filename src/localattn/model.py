@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import GradTape
+from .config import ConfigRecord
 from .errors import CheckpointError, ConfigurationError, ConstructionError, ResolutionError
 from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool, Linear,
                      LocalAttention, MaxPool, ReLU, MODES)
@@ -35,7 +36,7 @@ EXPANSION = 4
 
 
 @dataclass
-class ModelSpec:
+class ModelSpec(ConfigRecord):
     """Architecture description, round-trippable through the config format.
 
     Canonical depths 26/38/50 imply the 4-group block counts (1,2,4,1),
@@ -87,7 +88,8 @@ class ModelSpec:
         if self.encoding_mode not in MODES:
             raise ConfigurationError(f"unknown encoding_mode {self.encoding_mode!r}")
         if self.width_multiplier <= 0:
-            raise ConfigurationError(f"width_multiplier must be positive")
+            raise ConfigurationError(
+                f"width_multiplier must be positive, got {self.width_multiplier}")
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -108,50 +110,8 @@ class ModelSpec:
             stem_factor = 2
         return stem_factor * 2 ** (len(self.block_counts) - 1)
 
-    def to_mapping(self) -> dict[str, str]:
-        return {
-            "depth": str(self.depth),
-            "block_counts": ",".join(str(c) for c in self.block_counts),
-            "width_multiplier": repr(self.width_multiplier),
-            "groups": ",".join(self.groups),
-            "stem": self.stem,
-            "k": str(self.k),
-            "heads": str(self.heads),
-            "encoding_mode": self.encoding_mode,
-            "num_classes": str(self.num_classes),
-            "input_resolution": str(self.input_resolution),
-            "small_input": "true" if self.small_input else "false",
-            "stem_mixtures": str(self.stem_mixtures),
-            "stem_d_emb": str(self.stem_d_emb),
-            "bn_decay": repr(self.bn_decay),
-        }
 
-    @classmethod
-    def from_mapping(cls, m: dict[str, str]) -> "ModelSpec":
-        kwargs = {}
-        if "depth" in m:
-            kwargs["depth"] = int(m["depth"])
-        if m.get("block_counts"):
-            kwargs["block_counts"] = tuple(int(v) for v in m["block_counts"].split(","))
-        if "width_multiplier" in m:
-            kwargs["width_multiplier"] = float(m["width_multiplier"])
-        if "groups" in m:
-            kwargs["groups"] = tuple(t.strip() for t in m["groups"].split(","))
-        for key in ("stem", "encoding_mode"):
-            if key in m:
-                kwargs[key] = m[key].strip()
-        for key in ("k", "heads", "num_classes", "input_resolution",
-                    "stem_mixtures", "stem_d_emb"):
-            if key in m:
-                kwargs[key] = int(m[key])
-        if "small_input" in m:
-            kwargs["small_input"] = m["small_input"].strip().lower() in ("true", "1", "yes")
-        if "bn_decay" in m:
-            kwargs["bn_decay"] = float(m["bn_decay"])
-        return cls(**kwargs)
-
-
-MODEL_CONFIG_KEYS = set(ModelSpec().to_mapping().keys())
+MODEL_CONFIG_KEYS = frozenset(f.key for f in ModelSpec.config_fields())
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigRecord
 from .data import DatasetSource, load_data
 from .errors import DegenerateGroupError, DivergenceError, NonFiniteGradientError, ScheduleError
 from .model import Model, ModelSpec, build_model, full_state, save_checkpoint
@@ -113,7 +114,7 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ConfigRecord):
     epochs: int = 10
     batch_size: int = 128
     peak_lr: float = 0.05
@@ -124,35 +125,8 @@ class TrainConfig:
     augment: bool = True
     seed: int = 0
 
-    def to_mapping(self) -> dict[str, str]:
-        return {
-            "epochs": str(self.epochs),
-            "batch_size": str(self.batch_size),
-            "peak_lr": repr(self.peak_lr),
-            "momentum": repr(self.momentum),
-            "warmup_epochs": repr(self.warmup_epochs),
-            "ema_decay": repr(self.ema_decay),
-            "label_smoothing": repr(self.label_smoothing),
-            "augment": "true" if self.augment else "false",
-            "seed": str(self.seed),
-        }
 
-    @classmethod
-    def from_mapping(cls, m: dict[str, str]) -> "TrainConfig":
-        kwargs = {}
-        for key in ("epochs", "batch_size", "seed"):
-            if key in m:
-                kwargs[key] = int(m[key])
-        for key in ("peak_lr", "momentum", "warmup_epochs", "ema_decay",
-                    "label_smoothing"):
-            if key in m:
-                kwargs[key] = float(m[key])
-        if "augment" in m:
-            kwargs["augment"] = m["augment"].strip().lower() in ("true", "1", "yes")
-        return cls(**kwargs)
-
-
-TRAIN_CONFIG_KEYS = set(TrainConfig().to_mapping().keys())
+TRAIN_CONFIG_KEYS = frozenset(f.key for f in TrainConfig.config_fields())
 
 METRICS_HEADER = "epoch,step,lr,loss,val_acc"
 

@@ -7,9 +7,14 @@ import sys
 import numpy as np
 import pytest
 
+from localattn import cli
 from localattn.cli import build_parser, run
+from localattn.data import DATA_CONFIG_KEYS, DatasetSource
+from localattn.model import MODEL_CONFIG_KEYS, ModelSpec, read_config
+from localattn.train import TRAIN_CONFIG_KEYS, TrainConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = sorted(os.listdir(os.path.join(ROOT, "configs")))
 
 TINY_MODEL = ["--block-counts", "1", "--groups", "attention",
               "--stem", "attention_stem", "--width-multiplier", "0.125",
@@ -184,3 +189,171 @@ class TestSubprocessEntry:
         assert first.returncode == second.returncode == 0
         assert _strip_timing(first.stdout) == _strip_timing(second.stdout)
         assert any(line.startswith("# time train") for line in first.stdout.splitlines())
+
+
+def _stub_training(monkeypatch) -> dict:
+    """Replace the training loop by a stub that records the records it is
+    given and fails with "error: stub"."""
+    seen = {}
+
+    def stub(spec, source, config, **kwargs):
+        seen.update(spec=spec, source=source, config=config)
+        raise RuntimeError("stub")
+
+    monkeypatch.setattr(cli, "train_loop", stub)
+    return seen
+
+
+def _train_echo(args, monkeypatch, capsys):
+    """The resolved-configuration echo of `train args`, and the records it
+    would train with."""
+    seen = _stub_training(monkeypatch)
+    code, out, err = _cli(["train"] + args, capsys)
+    assert (code, err) == (1, "error: stub\n")
+    lines = out.splitlines()
+    assert lines[0] == "resolved configuration:"
+    return [line.strip() for line in lines[1:]], seen
+
+
+def _golden_echoes() -> dict[str, list[str]]:
+    sections: dict[str, list[str]] = {}
+    with open(os.path.join(ROOT, "tests", "golden", "resolved_configs.txt")) as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("["):
+                current = sections.setdefault(line.strip("[]"), [])
+            elif line and not line.startswith("#"):
+                current.append(line)
+    return sections
+
+
+COMMON_OPTIONS = [("--config", "config"), ("--seed", "seed"),
+                  ("--precision", "precision"), ("--out", "out")]
+MODEL_OPTIONS = [
+    ("--depth", "depth"), ("--block-counts", "block_counts"),
+    ("--width-multiplier", "width_multiplier"), ("--groups", "groups"),
+    ("--stem", "stem"), ("--k", "k"), ("--heads", "heads"),
+    ("--encoding-mode", "encoding_mode"), ("--num-classes", "num_classes"),
+    ("--resolution", "input_resolution"), ("--small-input", "small_input"),
+    ("--stem-mixtures", "stem_mixtures"), ("--stem-d-emb", "stem_d_emb"),
+    ("--bn-decay", "bn_decay")]
+TRAIN_OPTIONS = [
+    ("--epochs", "epochs"), ("--batch-size", "batch_size"), ("--peak-lr", "peak_lr"),
+    ("--momentum", "momentum"), ("--warmup-epochs", "warmup_epochs"),
+    ("--ema-decay", "ema_decay"), ("--label-smoothing", "label_smoothing"),
+    ("--augment", "augment")]
+DATA_OPTIONS = [
+    ("--data-kind", "data_kind"), ("--data-path", "data_path"),
+    ("--data-task", "data_task"), ("--data-size", "data_size"),
+    ("--data-seed", "data_seed"), ("--data-limit", "data_limit"),
+    ("--data-val-fraction", "data_val_fraction")]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command, expected", [
+        ("count", COMMON_OPTIONS + MODEL_OPTIONS),
+        ("train", COMMON_OPTIONS + MODEL_OPTIONS + TRAIN_OPTIONS + DATA_OPTIONS),
+        ("eval", COMMON_OPTIONS + [("--checkpoint", "checkpoint")]
+         + MODEL_OPTIONS + DATA_OPTIONS),
+    ])
+    def test_option_strings_and_dests_are_stable(self, command, expected):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        options = [(a.option_strings, a.dest) for a in sub.choices[command]._actions
+                   if a.dest != "help"]
+        assert options == [([flag], dest) for flag, dest in expected]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_resolved_echo_of_shipped_config_is_stable(self, config, monkeypatch, capsys):
+        echo, _ = _train_echo(["--config", os.path.join(ROOT, "configs", config)],
+                              monkeypatch, capsys)
+        assert echo == _golden_echoes()[config]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_shipped_config_has_no_unknown_key(self, config):
+        keys = set(read_config(os.path.join(ROOT, "configs", config)))
+        assert keys <= MODEL_CONFIG_KEYS | TRAIN_CONFIG_KEYS | DATA_CONFIG_KEYS
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_records_of_shipped_config_round_trip(self, config):
+        mapping = read_config(os.path.join(ROOT, "configs", config))
+        for record in (ModelSpec, TrainConfig, DatasetSource):
+            value = record.from_mapping(mapping)
+            assert record.from_mapping(value.to_mapping()) == value
+
+    @pytest.mark.parametrize("value", [
+        ModelSpec(block_counts=(2, 1), groups=("conv", "attention"), small_input=True,
+                  width_multiplier=0.3, bn_decay=0.95),
+        TrainConfig(epochs=3, peak_lr=0.1 + 0.2, augment=False, seed=11),
+        DatasetSource(kind="cifar10_binary", path="/data/cifar", limit=40,
+                      val_fraction=1 / 3),
+    ], ids=lambda value: type(value).__name__)
+    def test_non_default_record_round_trips(self, value):
+        assert type(value).from_mapping(value.to_mapping()) == value
+
+    @pytest.mark.parametrize("file_seed, flags, expected", [
+        ("seed = 3\n", ["--seed", "7"], 7),
+        ("seed = 3\n", [], 3),
+        ("", [], 0),
+        ("", ["--seed", "5"], 5),
+    ])
+    def test_explicit_seed_flag_beats_the_config_file(self, tmp_path, monkeypatch, capsys,
+                                                      file_seed, flags, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("block_counts = 1\ngroups = conv\n" + file_seed)
+        echo, seen = _train_echo(["--config", str(cfg)] + flags, monkeypatch, capsys)
+        assert f"seed = {expected}" in echo
+        assert seen["config"].seed == expected
+
+    @pytest.mark.parametrize("line, message", [
+        ("augment = flase", "augment: expected true or false, got 'flase'"),
+        ("small_input = ture", "small_input: expected true or false, got 'ture'"),
+        ("epochs = ten", "epochs: expected int, got 'ten'"),
+        ("peak_lr = fast", "peak_lr: expected float, got 'fast'"),
+        ("block_counts = 1,x", "block_counts: expected int list, got '1,x'"),
+        ("data_size = 1.5", "data_size: expected int, got '1.5'"),
+        ("depth =", "depth: expected int, got ''"),
+        ("stem =", "stem: expected str, got ''"),
+        ("groups = conv,,conv", "groups: expected str list, got 'conv,,conv'"),
+        ("augment =", "augment: expected true or false, got ''"),
+    ])
+    def test_malformed_config_value_names_the_key(self, tmp_path, monkeypatch, capsys,
+                                                  line, message):
+        _stub_training(monkeypatch)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = _cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spelling, expected", [
+        ("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+        ("false", False), ("False", False), ("0", False), ("NO", False),
+    ])
+    def test_bool_spellings(self, spelling, expected):
+        assert TrainConfig.from_mapping({"augment": spelling}).augment is expected
+        assert ModelSpec.from_mapping({"small_input": spelling}).small_input is expected
+
+    def test_empty_value_unsets_an_optional_field(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("block_counts = 1\ngroups = conv\ndata_limit =\ndata_path =\n")
+        _, seen = _train_echo(["--config", str(cfg)], monkeypatch, capsys)
+        assert (seen["source"].limit, seen["source"].path) == (None, None)
+        echo, seen = _train_echo(["--config", str(cfg), "--block-counts", "", "--depth", "26",
+                                  "--groups", "conv,conv,conv,conv"], monkeypatch, capsys)
+        assert seen["spec"].block_counts == (1, 2, 4, 1)
+        assert "block_counts = 1,2,4,1" in echo
+
+    @pytest.mark.parametrize("flag, value, type_name", [
+        ("--block-counts", "1,x", "int list"),
+        ("--augment", "maybe", "bool"),
+        ("--small-input", "", "bool"),
+        ("--width-multiplier", "wide", "float"),
+        ("--data-size", "many", "int"),
+        ("--stem", "", "str"),
+    ])
+    def test_malformed_flag_value_is_a_usage_error(self, monkeypatch, capsys,
+                                                   flag, value, type_name):
+        _stub_training(monkeypatch)
+        with pytest.raises(SystemExit) as err:
+            run(["train", flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}: invalid {type_name} value: {value!r}" in capsys.readouterr().err

@@ -351,6 +351,26 @@ class TestAttentionStem:
             _stem(27).forward(np.zeros((1, 3, 10, 8)))
 
 
+def _max_pool_backward_naive(x, dy, window, stride):
+    """Each output's gradient goes to the first maximal in-image slot of its
+    window in row-major (u, v) order, accumulated in output order."""
+    n, c, height, width = x.shape
+    h_out, w_out = dy.shape[2:]
+    pad_h = max(0, (h_out - 1) * stride + window - height) // 2
+    pad_w = max(0, (w_out - 1) * stride + window - width) // 2
+    dx = np.zeros_like(x)
+    for img in range(n):
+        for ch in range(c):
+            for i in range(h_out):
+                for j in range(w_out):
+                    slots = [(i * stride - pad_h + u, j * stride - pad_w + v)
+                             for u in range(window) for v in range(window)]
+                    slots = [(a, b) for a, b in slots if 0 <= a < height and 0 <= b < width]
+                    a, b = max(slots, key=lambda ab: x[img, ch, ab[0], ab[1]])
+                    dx[img, ch, a, b] += dy[img, ch, i, j]
+    return dx
+
+
 class TestPools:
     def test_max_pool_constant_image(self):
         y, _ = MaxPool(3, 2).forward(np.full((1, 2, 6, 6), 1.5))
@@ -371,6 +391,25 @@ class TestPools:
         y, _ = AvgPool2x2().forward(x)
         np.testing.assert_allclose(y, ref.avg_pool_2x2_reference(x), atol=1e-12)
         np.testing.assert_allclose(y[0, 0, 1, 1], x[0, 0, 2, 2], atol=1e-12)
+
+    @pytest.mark.parametrize("shape, window, stride", [
+        ((2, 3, 7, 6), 3, 2),
+        ((2, 3, 7, 6), 3, 1),
+        ((3, 2, 5, 9), 2, 2),
+        ((3, 2, 1, 1), 3, 2),
+    ])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_max_pool_backward_matches_naive_routing(self, shape, window, stride, ties):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(shape)
+        if ties:
+            x = np.round(x)     # few distinct values, so most windows tie
+        dy_shape = shape[:2] + (-(-shape[2] // stride), -(-shape[3] // stride))
+        dy = rng.standard_normal(dy_shape)
+        pool = MaxPool(window, stride)
+        dx, grads = pool.backward(dy, pool.forward(x)[1])
+        assert grads == {}
+        np.testing.assert_array_equal(dx, _max_pool_backward_naive(x, dy, window, stride))
 
     def test_max_pool_padding_never_wins(self):
         x = np.full((1, 1, 5, 5), -7.0)

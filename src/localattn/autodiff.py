@@ -106,11 +106,10 @@ def gradcheck(layer, input_shape, tolerance: float = 1e-4,
     if not np.all(np.isfinite(dx)):
         raise NonFiniteGradientError("input")
 
-    per_entry: dict[str, float] = {}
-    for key, arr in layer.params.items():
+    def central_differences(arr: np.ndarray) -> np.ndarray:
+        """d loss / d arr, one entry at a time; arr is perturbed in place."""
         fd = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        fd_flat = fd.reshape(-1)
+        flat, fd_flat = arr.reshape(-1), fd.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
@@ -119,20 +118,11 @@ def gradcheck(layer, input_shape, tolerance: float = 1e-4,
             down = loss(layer.forward(x, training=training)[0])
             flat[idx] = orig
             fd_flat[idx] = (up - down) / (2 * step)
-        per_entry[key] = _rel_err(grads[key], fd)
+        return fd
 
-    fd_x = np.zeros_like(x)
-    flat = x.reshape(-1)
-    fd_flat = fd_x.reshape(-1)
-    for idx in range(flat.size):
-        orig = flat[idx]
-        flat[idx] = orig + step
-        up = loss(layer.forward(x, training=training)[0])
-        flat[idx] = orig - step
-        down = loss(layer.forward(x, training=training)[0])
-        flat[idx] = orig
-        fd_flat[idx] = (up - down) / (2 * step)
-    per_entry["input"] = _rel_err(dx, fd_x)
+    per_entry = {key: _rel_err(grads[key], central_differences(arr))
+                 for key, arr in layer.params.items()}
+    per_entry["input"] = _rel_err(dx, central_differences(x))
 
     worst = max(per_entry.values())
     return CheckReport(

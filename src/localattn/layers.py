@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, PaddingError, UnsupportedExtentError
-from .tensorops import pad_hw, softmax_axis, softmax_vjp, window_validity
+from .tensorops import pad_hw, softmax_axis, softmax_vjp, window_slices, window_validity
 
 MODES = ("none", "absolute", "relative", "relative_only")
 
@@ -64,7 +64,7 @@ class Conv2d:
     weight shape (k, k, d_out, d_in), indexed by (i-a+half, j-b+half). Both
     passes are GEMMs on C-contiguous NCHW arrays. The zero-padded input xp is
     copied once into a slot-major column matrix of shape (n, k*k*C, H'*W'):
-    row (u*k + v)*C + c holds xp[:, c, u::stride, v::stride], the input at
+    row (u*k + v)*C + c holds window_slices slot (u, v) of channel c, the input at
     offset (u - half, v - half) from each output center. The weight matrix
     that multiplies it is weight[::-1, ::-1].transpose(2, 0, 1, 3) reshaped
     to (d_out, k*k*C), so C is the contiguous inner run of both. A 1x1
@@ -90,20 +90,12 @@ class Conv2d:
         return self.weight[::-1, ::-1].transpose(2, 0, 1, 3).reshape(
             self.d_out, self.k * self.k * self.d_in)
 
-    def _slots(self, h_out: int, w_out: int):
-        """Yield (u, v, index of the strided (H', W') slice of the padded
-        input that slot (u, v) of every output center reads)."""
-        s = self.stride
-        for u in range(self.k):
-            for v in range(self.k):
-                yield u, v, (Ellipsis, slice(u, u + s * h_out, s), slice(v, v + s * w_out, s))
-
     def _columns(self, xp: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
         n, c = xp.shape[:2]
         if self.k == 1 and self.stride == 1:
             return xp.reshape(n, c, h_out * w_out)
         cols = np.empty((n, self.k, self.k, c, h_out, w_out), dtype=xp.dtype)
-        for u, v, at in self._slots(h_out, w_out):
+        for u, v, at in window_slices(self.k, h_out, w_out, self.stride):
             cols[:, u, v] = xp[at]
         return cols.reshape(n, self.k * self.k * c, h_out * w_out)
 
@@ -133,7 +125,7 @@ class Conv2d:
             return d_cols.reshape(x_shape), grads
         d_cols = d_cols.reshape(n, k, k, c, h_out, w_out)
         dxp = np.zeros(xp.shape, dtype=d_cols.dtype)
-        for u, v, at in self._slots(h_out, w_out):
+        for u, v, at in window_slices(k, h_out, w_out, self.stride):
             dxp[at] += d_cols[:, u, v]
         dx = dxp[:, :, half:half + height, half:half + width]
         return np.ascontiguousarray(dx), grads
@@ -153,8 +145,8 @@ class LocalAttention:
 
     No window of K or V is ever copied out. Q, K and V are C-contiguous
     (n, heads, d_head, H, W) arrays; K and V are zero-padded once, and slot
-    u*k + v of every pixel's window is the shifted slice [..., u:u+H, v:v+W]
-    of the padded array. Logits and weights are laid out (k*k, n, heads, H, W)
+    u*k + v of every pixel's window is the window_slices slice [..., u:u+H,
+    v:v+W] of the padded array. Logits and weights are laid out (k*k, n, heads, H, W)
     so the softmax reduces over the leading axis; ctx[4] views the weights as
     (n, heads, H, W, k*k).
     """
@@ -212,13 +204,6 @@ class LocalAttention:
         return (w @ x_in.reshape(n, self.d_in, height * width)).reshape(
             n, self.heads, self.d_head, height, width)
 
-    def _offsets(self, height: int, width: int):
-        """Yield (u*k + v, index of the (H, W) slice of a padded array that
-        window slot (u, v) of every pixel reads)."""
-        for u in range(self.k):
-            for v in range(self.k):
-                yield u * self.k + v, (Ellipsis, slice(u, u + height), slice(v, v + width))
-
     def _offset_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
         # slot (u, v) reads row_emb[(u-half) + k-1] and col_emb[(v-half) + k-1],
         # which simplifies to index u+half since k-1 = 2*half for odd k
@@ -249,8 +234,8 @@ class LocalAttention:
         k_pad = None
         if self.W_K is not None:
             k_pad = pad_hw(self._project(self.W_K, x_in), half)
-            for s, at in self._offsets(height, width):
-                np.einsum("nhdij,nhdij->nhij", q, k_pad[at], out=logits[s])
+            for u, v, at in window_slices(k, height, width):
+                np.einsum("nhdij,nhdij->nhij", q, k_pad[at], out=logits[u * k + v])
         if self.row_emb is not None:
             # q.[row_u; col_v] = q_row.row_u + q_col.col_v: 2k products, not k*k
             rows, cols = self._offset_embeddings()
@@ -263,8 +248,8 @@ class LocalAttention:
         attn = softmax_axis(logits, 0, mask)
 
         y = np.zeros_like(q)
-        for s, at in self._offsets(height, width):
-            y += attn[s][:, :, None] * v_pad[at]
+        for u, v, at in window_slices(k, height, width):
+            y += attn[u * k + v][:, :, None] * v_pad[at]
         return (y.reshape(n, self.d_out, height, width),
                 (x_in, q, k_pad, v_pad, np.moveaxis(attn, 0, -1)))
 
@@ -277,17 +262,17 @@ class LocalAttention:
 
         d_attn = np.empty_like(attn)
         dv_pad = np.zeros_like(v_pad)
-        for s, at in self._offsets(height, width):
-            np.einsum("nhdij,nhdij->nhij", dy_h, v_pad[at], out=d_attn[s])
-            dv_pad[at] += attn[s][:, :, None] * dy_h
+        for u, v, at in window_slices(k, height, width):
+            np.einsum("nhdij,nhdij->nhij", dy_h, v_pad[at], out=d_attn[u * k + v])
+            dv_pad[at] += attn[u * k + v][:, :, None] * dy_h
         dlogits = softmax_vjp(attn, d_attn, axis=0)    # masked slots: attn == 0, so 0
 
         grads: dict[str, np.ndarray] = {}
         dq = np.zeros_like(q)
         if k_pad is not None:
             dk_pad = np.zeros_like(k_pad)
-            for s, at in self._offsets(height, width):
-                g = dlogits[s][:, :, None]
+            for u, v, at in window_slices(k, height, width):
+                g = dlogits[u * k + v][:, :, None]
                 dq += g * k_pad[at]
                 dk_pad[at] += g * q
         if self.row_emb is not None:
@@ -405,6 +390,7 @@ class AttentionStem:
         self.emb_col = (rng.standard_normal((self.WINDOW, d_emb)) * std).astype(dtype)
         self.nu = (rng.standard_normal((mixtures, d_emb)) * std).astype(dtype)
         self.norm = BatchNorm2d(d_out, decay=bn_decay, dtype=dtype)
+        self.pool = MaxPool(self.WINDOW, self.WINDOW)
 
     @property
     def params(self):
@@ -416,13 +402,29 @@ class AttentionStem:
 
     @property
     def named_layers(self):
-        return [("norm", self.norm)]
+        return [("norm", self.norm), ("pool", self.pool)]
 
     def mixture_weights(self) -> np.ndarray:
         """(4, 4, M) array of p(a,b,m); rows sum to one."""
         combined = self.emb_row[:, None, :] + self.emb_col[None, :, :]     # (4, 4, E)
         logits = np.einsum("abe,me->abm", combined, self.nu, optimize=True)
         return softmax_axis(logits, -1)
+
+    def _to_blocks(self, t: np.ndarray) -> np.ndarray:
+        """(n, d_out, H, W) -> (n, heads, hb, wb, d_head, win*win): the pixels
+        of each block, head by head, at a*win + b for block position (a, b)."""
+        n, _, height, width = t.shape
+        win, hb, wb = self.WINDOW, height // self.WINDOW, width // self.WINDOW
+        tb = t.reshape(n, self.heads, self.d_head, hb, win, wb, win)
+        return np.ascontiguousarray(tb.transpose(0, 1, 3, 5, 2, 4, 6)).reshape(
+            n, self.heads, hb, wb, self.d_head, win * win)
+
+    def _from_blocks(self, tb: np.ndarray) -> np.ndarray:
+        """Inverse of _to_blocks: a C-contiguous (n, d_out, H, W) array."""
+        n, heads, hb, wb, dh, _ = tb.shape
+        win = self.WINDOW
+        t = tb.reshape(n, heads, hb, wb, dh, win, win).transpose(0, 1, 4, 2, 5, 3, 6)
+        return np.ascontiguousarray(t).reshape(n, self.d_out, hb * win, wb * win)
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 4 or x.shape[1] != self.d_in:
@@ -433,16 +435,9 @@ class AttentionStem:
             raise PaddingError(
                 f"input {height}x{width} not divisible by {win}; pre-pad the image")
         hb, wb = height // win, width // win
-        heads, dh = self.heads, self.d_head
 
         p = self.mixture_weights().astype(x.dtype)                          # (4, 4, M)
         w_mixed = np.einsum("abm,moi->aboi", p, self.W_V, optimize=True)    # (4, 4, out, in)
-
-        # blocks axes: (n, c, hb, a, wb, b) -> heads layout (n, h, d, hb, wb, a*win+b)
-        def to_blocks(t):
-            tb = t.reshape(n, heads, dh, hb, win, wb, win)
-            return np.ascontiguousarray(tb.transpose(0, 1, 3, 5, 2, 4, 6)).reshape(
-                n, heads, hb, wb, dh, win * win)
 
         x_flat = x.reshape(n, self.d_in, height * width)
         q = (self.W_Q @ x_flat).reshape(n, self.d_out, height, width)
@@ -451,57 +446,36 @@ class AttentionStem:
         vt = np.einsum("aboi,nihavb->nohavb", w_mixed, xb, optimize=True)
         vt = vt.reshape(n, self.d_out, height, width)
 
-        qb = to_blocks(q)
-        kb = to_blocks(key)
-        vb = to_blocks(vt)
+        qb = self._to_blocks(q)
+        kb = self._to_blocks(key)
+        vb = self._to_blocks(vt)
         logits = np.matmul(np.swapaxes(qb, -2, -1), kb)         # (n, h, u, v, s, t)
         attn = softmax_axis(logits, -1)
         yb = np.matmul(vb, np.swapaxes(attn, -2, -1))           # (n, h, u, v, d, s)
 
-        def from_blocks(tb):
-            t = tb.reshape(n, heads, hb, wb, dh, win, win).transpose(0, 1, 4, 2, 5, 3, 6)
-            return np.ascontiguousarray(t).reshape(n, self.d_out, height, width)
-
-        attended = from_blocks(yb)
-        normed, bn_ctx = self.norm.forward(attended, training)
-        pooled = normed.reshape(n, self.d_out, hb, win, wb, win)
-        flat = pooled.transpose(0, 1, 2, 4, 3, 5).reshape(n, self.d_out, hb, wb, win * win)
-        arg = np.argmax(flat, axis=-1)
-        y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        ctx = (x, p, w_mixed, qb, kb, vb, attn, bn_ctx, arg, (n, hb, wb))
-        return y, ctx
+        normed, bn_ctx = self.norm.forward(self._from_blocks(yb), training)
+        y, pool_ctx = self.pool.forward(normed, training)
+        return y, (x, p, w_mixed, qb, kb, vb, attn, bn_ctx, pool_ctx)
 
     def backward(self, dy: np.ndarray, ctx):
-        x, p, w_mixed, qb, kb, vb, attn, bn_ctx, arg, dims = ctx
-        n, hb, wb = dims
-        win, heads, dh = self.WINDOW, self.heads, self.d_head
-        height, width = hb * win, wb * win
+        x, p, w_mixed, qb, kb, vb, attn, bn_ctx, pool_ctx = ctx
+        n, _, height, width = x.shape
+        win = self.WINDOW
+        hb, wb = height // win, width // win
 
-        d_flat = np.zeros((n, self.d_out, hb, wb, win * win), dtype=dy.dtype)
-        np.put_along_axis(d_flat, arg[..., None], dy[..., None], axis=-1)
-        d_normed = d_flat.reshape(n, self.d_out, hb, wb, win, win).transpose(
-            0, 1, 2, 4, 3, 5).reshape(n, self.d_out, height, width)
+        d_normed, _ = self.pool.backward(dy, pool_ctx)
         d_attended, bn_grads = self.norm.backward(d_normed, bn_ctx)
 
-        def to_blocks_grad(t):
-            tb = t.reshape(n, heads, dh, hb, win, wb, win)
-            return np.ascontiguousarray(tb.transpose(0, 1, 3, 5, 2, 4, 6)).reshape(
-                n, heads, hb, wb, dh, win * win)
-
-        def from_blocks(tb):
-            t = tb.reshape(n, heads, hb, wb, dh, win, win).transpose(0, 1, 4, 2, 5, 3, 6)
-            return np.ascontiguousarray(t).reshape(n, self.d_out, height, width)
-
-        dyb = to_blocks_grad(d_attended)
+        dyb = self._to_blocks(d_attended)
         d_attn = np.matmul(np.swapaxes(dyb, -2, -1), vb)
         dvb = np.matmul(dyb, attn)
         dlogits = softmax_vjp(attn, d_attn)
         dqb = np.matmul(kb, np.swapaxes(dlogits, -2, -1))
         dkb = np.matmul(qb, dlogits)
 
-        dq = from_blocks(dqb)
-        dk = from_blocks(dkb)
-        dvt = from_blocks(dvb)
+        dq = self._from_blocks(dqb)
+        dk = self._from_blocks(dkb)
+        dvt = self._from_blocks(dvb)
 
         grads = {"norm." + k: v for k, v in bn_grads.items()}
         x_flat = x.reshape(n, self.d_in, height * width)
@@ -539,25 +513,20 @@ class MaxPool:
         self.params = {}
 
     def forward(self, x: np.ndarray, training: bool = False):
-        n, c, height, width = x.shape
+        height, width = x.shape[2], x.shape[3]
         w, s = self.window, self.stride
-        h_out = -(-height // s)
-        w_out = -(-width // s)
-        pad_h = max(0, (h_out - 1) * s + w - height) // 2
-        pad_w = max(0, (w_out - 1) * s + w - width) // 2
-        neg = np.finfo(x.dtype).min
-        stack = np.full((n, c, h_out, w_out, w * w), neg, dtype=x.dtype)
-        for u in range(w):
-            rows = np.arange(h_out) * s - pad_h + u
-            r_ok = (rows >= 0) & (rows < height)
-            for v in range(w):
-                cols = np.arange(w_out) * s - pad_w + v
-                c_ok = (cols >= 0) & (cols < width)
-                sub = x[:, :, rows[r_ok][:, None], cols[c_ok][None, :]]
-                slot = stack[:, :, :, :, u * w + v]
-                slot[:, :, r_ok[:, None] & c_ok[None, :]] = sub.reshape(n, c, -1)
-        arg = np.argmax(stack, axis=-1)
-        y = np.take_along_axis(stack, arg[..., None], axis=-1)[..., 0]
+        h_out, w_out = -(-height // s), -(-width // s)
+        span_h, span_w = (h_out - 1) * s + w, (w_out - 1) * s + w    # pixels the windows cover
+        # half the overhang above/left, the rest (never less) below/right
+        pad_h, pad_w = max(0, span_h - height) // 2, max(0, span_w - width) // 2
+        below, right = max(0, span_h - pad_h - height), max(0, span_w - pad_w - width)
+        xp = x
+        if below or right:
+            xp = np.pad(x, [(0, 0), (0, 0), (pad_h, below), (pad_w, right)],
+                        constant_values=np.finfo(x.dtype).min)
+        stack = np.stack([xp[at] for _, _, at in window_slices(w, h_out, w_out, s)])
+        arg = np.argmax(stack, axis=0)
+        y = np.take_along_axis(stack, arg[None], axis=0)[0]
         return y, (x.shape, arg, pad_h, pad_w)
 
     def backward(self, dy: np.ndarray, ctx):

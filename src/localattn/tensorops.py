@@ -1,4 +1,4 @@
-"""Dense-array substrate: masked softmax, window validity masks, and window gathering.
+"""Dense-array substrate: masked softmax, the k x k window slot map, validity masks.
 
 Values are plain numpy arrays, interpreted as (batch, channels, height, width)
 when rank 4. Everything here is a pure function of its inputs; float64 is used
@@ -53,19 +53,25 @@ def softmax_vjp(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarray:
     return dp
 
 
+def window_slices(k: int, h_out: int, w_out: int, stride: int = 1):
+    """Yield (u, v, index) for each slot of a k x k window, row-major. index
+    selects the (..., H', W') slice of a padded array that slot (u, v) of
+    every output center reads, centers `stride` apart: the one slot map that
+    convolution, local attention and pooling share."""
+    for u in range(k):
+        for v in range(k):
+            yield u, v, (Ellipsis, slice(u, u + stride * h_out, stride),
+                         slice(v, v + stride * w_out, stride))
+
+
 def window_validity(height: int, width: int, k: int) -> np.ndarray:
     """Boolean (H, W, k*k) array: which slots of the k x k window centered on
     each pixel lie inside the image. Slot u*k + v holds the pixel at offset
     (u - k//2, v - k//2); only odd k has a centered window."""
     if k < 1 or k % 2 == 0:
         raise UnsupportedExtentError(f"neighborhood extent must be odd and positive, got {k}")
-    half = k // 2
-    rows = np.arange(height)[:, None] + (np.arange(k) - half)[None, :]      # (H, k)
-    cols = np.arange(width)[:, None] + (np.arange(k) - half)[None, :]       # (W, k)
-    row_ok = (rows >= 0) & (rows < height)
-    col_ok = (cols >= 0) & (cols < width)
-    valid = row_ok[:, None, :, None] & col_ok[None, :, None, :]             # (H, W, k, k)
-    return valid.reshape(height, width, k * k)
+    inside = pad_hw(np.ones((height, width), dtype=bool), k // 2)
+    return np.stack([inside[at] for _, _, at in window_slices(k, height, width)], axis=-1)
 
 
 def pad_hw(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:

@@ -26,13 +26,12 @@ from .layers import (
     GlobalAvgPool,
     Linear,
     LocalAttention,
+    MODES,
     MaxPool,
     ReLU,
 )
 from .model import Bottleneck, ModelSpec, build_model
-from .tensorops import pad_hw, sliding_windows, softmax_axis, window_validity
-
-ENCODING_MODES = ("none", "absolute", "relative", "relative_only")
+from .tensorops import pad_hw, softmax_axis, window_slices, window_validity
 
 
 @dataclass
@@ -99,23 +98,22 @@ def oracle_suite(seed: int = 0) -> SuiteResult:
     suite.add("masked softmax vs closed form", float(np.max(np.abs(got - want))), 1e-12)
     instances += 1
 
-    # the attention path's padded windows and validity mask vs a direct
-    # gather and bounds test, every center of a 6x6 image
+    # the layers' window slot map over the padded image and the validity mask
+    # vs a direct gather and bounds test, every center of a 6x6 image
     x = rng.standard_normal((1, 2, 6, 6))
     err = 0.0
     k = 5
-    windows = sliding_windows(pad_hw(x, k // 2), k)
+    xp = pad_hw(x, k // 2)
     valid = window_validity(6, 6, k)
     for i in range(6):
         for j in range(6):
-            for u in range(k):
-                for v in range(k):
-                    r, c = i - k // 2 + u, j - k // 2 + v
-                    inside = 0 <= r < 6 and 0 <= c < 6
-                    want = x[:, :, r, c] if inside else 0.0
-                    err = max(err, float(np.max(np.abs(windows[:, :, i, j, u, v] - want))))
-                    if valid[i, j, u * k + v] != inside:
-                        err = max(err, 1.0)
+            for u, v, at in window_slices(k, 6, 6):
+                r, c = i - k // 2 + u, j - k // 2 + v
+                inside = 0 <= r < 6 and 0 <= c < 6
+                want = x[:, :, r, c] if inside else 0.0
+                err = max(err, float(np.max(np.abs(xp[at][:, :, i, j] - want))))
+                if valid[i, j, u * k + v] != inside:
+                    err = max(err, 1.0)
             instances += 1
     suite.add("window_validity and padding vs gather (36 centers)", err, 1e-15)
 
@@ -140,7 +138,7 @@ def oracle_suite(seed: int = 0) -> SuiteResult:
 
     # local attention vs per-pixel brute force, all four encoding modes
     attention_instances = 0
-    for mode in ENCODING_MODES:
+    for mode in MODES:
         err = 0.0
         count = 0
         for k in (3, 5):
@@ -247,7 +245,7 @@ def invariant_suite(seed: int = 0) -> SuiteResult:
     # attention weights are a convex combination at every pixel, borders included
     sum_err, neg = 0.0, 0.0
     masked_exact = True
-    for mode in ENCODING_MODES:
+    for mode in MODES:
         layer = _attention_layer(rng, mode, 5, 2, 4)
         attn = _attention_weights(layer, rng.standard_normal((2, 4, 6, 7)))
         sum_err = max(sum_err, float(np.max(np.abs(attn.sum(-1) - 1.0))))
@@ -387,7 +385,7 @@ def gradcheck_layers(seed: int = 0) -> list[tuple[str, object, tuple]]:
         ("conv2d k=3 s=2", Conv2d(3, 4, 3, stride=2, rng=next(rngs),
                                   dtype=np.float64), (2, 3, 5, 6)),
     ]
-    for mode in ENCODING_MODES:
+    for mode in MODES:
         entries.append((f"local_attention {mode}",
                         LocalAttention(4, 4, k=3, heads=2, encoding_mode=mode,
                                        rng=next(rngs), dtype=np.float64),

@@ -386,6 +386,19 @@ class TestPools:
         y, _ = MaxPool(3, 2).forward(x)
         np.testing.assert_allclose(y, ref.max_pool_reference(x, 3, 2), atol=0)
 
+    @pytest.mark.parametrize("shape, window, stride", [
+        pytest.param((2, 3, 8, 8), 4, 4, id="stem-8x8-w4s4"),
+        pytest.param((1, 2, 6, 6), 1, 2, id="6x6-w1s2-unread-trailing-row"),
+        pytest.param((2, 3, 6, 5), 2, 3, id="6x5-w2s3"),
+        pytest.param((2, 2, 5, 7), 5, 2, id="5x7-w5s2"),
+        pytest.param((2, 1, 3, 3), 4, 1, id="3x3-w4s1-window-beyond-image"),
+        pytest.param((3, 2, 1, 1), 3, 2, id="1x1-w3s2"),
+    ])
+    def test_max_pool_matches_naive_oracle_at_edge_shapes(self, shape, window, stride):
+        x = np.random.default_rng(30).standard_normal(shape)
+        y, _ = MaxPool(window, stride).forward(x)
+        np.testing.assert_array_equal(y, ref.max_pool_reference(x, window, stride))
+
     def test_avg_pool_borders_average_valid_elements_only(self):
         x = np.random.default_rng(31).standard_normal((1, 1, 3, 3))
         y, _ = AvgPool2x2().forward(x)
@@ -397,6 +410,7 @@ class TestPools:
         ((2, 3, 7, 6), 3, 1),
         ((3, 2, 5, 9), 2, 2),
         ((3, 2, 1, 1), 3, 2),
+        ((2, 3, 8, 8), 4, 4),
     ])
     @pytest.mark.parametrize("ties", [False, True])
     def test_max_pool_backward_matches_naive_routing(self, shape, window, stride, ties):

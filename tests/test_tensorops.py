@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from localattn.errors import DegenerateGroupError, UnsupportedExtentError
-from localattn.tensorops import pad_hw, sliding_windows, softmax_axis, window_validity
+from localattn.tensorops import (pad_hw, sliding_windows, softmax_axis, window_slices,
+                                 window_validity)
 
 
 def _in_image(i, j, u, v, k, height, width):
@@ -118,12 +119,16 @@ class TestExtractNeighborhood:
 
     def test_offsets_are_row_major_relative_positions(self):
         # pixel (r, c) holds 100*r + c, so each slot's value minus the
-        # center's is 100*du + dv for the slot's offset (du, dv)
+        # center's is 100*du + dv for the slot's offset (du, dv); the strided
+        # window view and the layers' slot map read the slots in that order
         x = (100 * np.arange(5)[:, None] + np.arange(5)[None, :]).astype(float)
-        windows = sliding_windows(pad_hw(x[None, None], 1), 3)
-        got = (windows[0, 0, 2, 2] - x[2, 2]).reshape(-1)
+        xp = pad_hw(x[None, None], 1)
         offsets = [(du, dv) for du in (-1, 0, 1) for dv in (-1, 0, 1)]
-        assert got.tolist() == [100 * du + dv for du, dv in offsets]
+        want = [100 * du + dv for du, dv in offsets]
+        windows = sliding_windows(xp, 3)
+        assert (windows[0, 0, 2, 2] - x[2, 2]).reshape(-1).tolist() == want
+        slots = [xp[at][0, 0, 2, 2] - x[2, 2] for _, _, at in window_slices(3, 5, 5)]
+        assert slots == want
 
 
 class TestWindowValidity:

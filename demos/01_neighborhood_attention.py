@@ -3,9 +3,9 @@ Local attention over pixel neighborhoods
 ========================================
 
 A pixel attends over its k x k neighborhood: the query comes from the pixel,
-keys and values come from the window, and a masked softmax turns similarities
-into mixing weights. Off-image window slots get weight exactly zero, so
-border pixels mix only what actually exists.
+keys and values come from the window, and a softmax turns similarities into
+mixing weights. Off-image window slots get a logit of -inf, so their weight is
+exactly zero and border pixels mix only what actually exists.
 """
 
 import numpy as np
@@ -22,9 +22,11 @@ x = rng.standard_normal((1, 4, 6, 6))
 valid = window_validity(6, 6, 3)[0, 0]
 print("valid slots :", valid.astype(int).reshape(3, 3))
 
-# Masked softmax: the invalid slots are excluded, the rest sum to one.
+# Masking by -inf: the invalid slots' logits become -inf, so the softmax
+# gives them weight zero and the rest sum to one.
 logits = rng.standard_normal(9)
-weights = softmax_axis(logits, -1, valid)
+logits[~valid] = -np.inf
+weights = softmax_axis(logits, -1)
 print("weights     :", np.round(weights.reshape(3, 3), 3))
 print("weight sum  :", weights.sum())
 

@@ -3,7 +3,7 @@ convolutions: attention and convolution primitives with manually verified
 gradients, a ResNet transformation procedure, a symbolic cost ledger, and a
 small training harness."""
 
-from .autodiff import CheckReport, GradTape, backward, gradcheck
+from .autodiff import CheckReport, GradTape, gradcheck
 from .cost import (CONVENTION, CostEntry, CostReport, ParityReport, cost_parity,
                    count_flops, count_params, ledger)
 from .errors import (CheckpointError, ConfigurationError, ConstructionError,
@@ -36,7 +36,7 @@ __all__ = [
     "ModelSpec", "NonFiniteGradientError", "OptimizerState", "PaddingError",
     "ParityReport", "ReLU", "ResolutionError", "Schedule",
     "ScheduleError", "Sequential", "SuiteResult", "TrainConfig",
-    "UnsupportedExtentError", "absolute_position_signal", "backward", "batchnorm_state",
+    "UnsupportedExtentError", "absolute_position_signal", "batchnorm_state",
     "build_model", "cost_parity", "count_flops", "count_params",
     "cross_entropy_smoothed", "evaluate", "full_state", "gradcheck",
     "gradcheck_suite", "invariant_suite", "ledger", "load_checkpoint",

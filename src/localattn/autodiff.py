@@ -47,12 +47,6 @@ class GradTape:
         return d, grads
 
 
-def backward(model_output_cotangent: np.ndarray, tape: GradTape) -> dict[str, np.ndarray]:
-    """Gradient set for the forward pass recorded on `tape`."""
-    _, grads = tape.backward(model_output_cotangent)
-    return grads
-
-
 @dataclass
 class CheckReport:
     """Outcome of one finite-difference comparison."""

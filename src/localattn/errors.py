@@ -10,7 +10,8 @@ class UnsupportedExtentError(ValueError):
 
 
 class DegenerateGroupError(ValueError):
-    """A softmax group had no unmasked entries."""
+    """A softmax group's max logit was not finite: it held a +inf or NaN, or
+    every slot was masked out by a logit of -inf."""
 
 
 class ConfigurationError(ValueError):

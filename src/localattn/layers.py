@@ -140,8 +140,10 @@ class LocalAttention:
       absolute      sinusoidal position channels added to x before Q/K/V
       relative      logits are q.k + q.r with r indexed by window offset
       relative_only logits are q.r alone (no W_K is allocated)
-    Out-of-image window slots are masked out of the softmax. Output keeps the
-    input's spatial size.
+    Out-of-image window slots (window_validity) get a logit of -inf, so their
+    softmax weight is exactly zero and the in-image slots sum to one; a window
+    whose logits hold a +inf or NaN, or are all -inf, raises
+    DegenerateGroupError. Output keeps the input's spatial size.
 
     No window of K or V is ever copied out. Q, K and V are C-contiguous
     (n, heads, d_head, H, W) arrays; K and V are zero-padded once, and slot
@@ -244,8 +246,9 @@ class LocalAttention:
             grid += np.tensordot(rows, q[:, :, :split], axes=(1, 2))[:, None]
             grid += np.tensordot(cols, q[:, :, split:], axes=(1, 2))[None]
 
-        mask = np.moveaxis(window_validity(height, width, k), -1, 0)[:, None, None]
-        attn = softmax_axis(logits, 0, mask)
+        valid = np.moveaxis(window_validity(height, width, k), -1, 0)[:, None, None]
+        np.copyto(logits, -np.inf, where=~valid)
+        attn = softmax_axis(logits, 0)
 
         y = np.zeros_like(q)
         for u, v, at in window_slices(k, height, width):
@@ -265,7 +268,7 @@ class LocalAttention:
         for u, v, at in window_slices(k, height, width):
             np.einsum("nhdij,nhdij->nhij", dy_h, v_pad[at], out=d_attn[u * k + v])
             dv_pad[at] += attn[u * k + v][:, :, None] * dy_h
-        dlogits = softmax_vjp(attn, d_attn, axis=0)    # masked slots: attn == 0, so 0
+        dlogits = softmax_vjp(attn, d_attn, axis=0)    # out-of-image slots: attn == 0, so 0
 
         grads: dict[str, np.ndarray] = {}
         dq = np.zeros_like(q)
@@ -504,9 +507,10 @@ class AttentionStem:
 
 
 class MaxPool:
-    """Windowed max with ceil(H/stride) output; padding slots are excluded
-    from the comparison rather than compared as zeros. Ties route gradient to
-    the first maximal slot, keeping backward deterministic."""
+    """Windowed max with ceil(H/stride) output. Out-of-image slots are padded
+    with -inf, so they never beat an in-image value and an all -inf window
+    gives -inf. Ties route gradient to the first maximal in-image slot,
+    keeping backward deterministic."""
 
     def __init__(self, window: int, stride: int):
         self.window, self.stride = window, stride
@@ -523,7 +527,7 @@ class MaxPool:
         xp = x
         if below or right:
             xp = np.pad(x, [(0, 0), (0, 0), (pad_h, below), (pad_w, right)],
-                        constant_values=np.finfo(x.dtype).min)
+                        constant_values=-np.inf)
         stack = np.stack([xp[at] for _, _, at in window_slices(w, h_out, w_out, s)])
         arg = np.argmax(stack, axis=0)
         y = np.take_along_axis(stack, arg[None], axis=0)[0]
@@ -536,8 +540,11 @@ class MaxPool:
         h_out, w_out = dy.shape[2], dy.shape[3]
         dx = np.zeros(x_shape, dtype=dy.dtype)
         out_i, out_j = np.meshgrid(np.arange(h_out), np.arange(w_out), indexing="ij")
-        rows = out_i * s - pad_h + arg // w
-        cols = out_j * s - pad_w + arg % w
+        # only a window whose in-image slots are all -inf can pick a padding
+        # slot: its slot 0, the top-left corner; clipping moves that to the
+        # window's first in-image slot
+        rows = np.clip(out_i * s - pad_h + arg // w, 0, height - 1)
+        cols = np.clip(out_j * s - pad_w + arg % w, 0, width - 1)
         plane = np.arange(n * c).reshape(n, c, 1, 1)
         np.add.at(dx.ravel(), ((plane * height + rows) * width + cols).ravel(), dy.ravel())
         return dx, {}

@@ -1,4 +1,4 @@
-"""Dense-array substrate: masked softmax, the k x k window slot map, validity masks.
+"""Dense-array substrate: softmax, the k x k window slot map, validity masks.
 
 Values are plain numpy arrays, interpreted as (batch, channels, height, width)
 when rank 4. Everything here is a pure function of its inputs; float64 is used
@@ -12,41 +12,31 @@ import numpy as np
 from .errors import DegenerateGroupError, DimensionError, UnsupportedExtentError
 
 
-def softmax_axis(x: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stabilized softmax along `axis` with optional boolean mask.
+def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stabilized softmax along `axis`.
 
-    Masked-out slots are exactly zero in the output; each group of unmasked
-    slots sums to one. With a mask, a group with no unmasked entry, or whose
-    unmasked logits hold a +inf or NaN or are all -inf, raises
-    DegenerateGroupError.
+    A slot is masked out by a logit of -inf: its weight is exactly zero and
+    the group's other slots sum to one. A group whose max is not finite (a
+    +inf or NaN logit, or every logit -inf) raises DegenerateGroupError.
     """
     x = np.asarray(x)
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"axis {axis} out of range for rank {x.ndim}")
-    if mask is None:
-        m = np.max(x, axis=axis, keepdims=True)
-        e = np.exp(x - m)
-        return e / np.sum(e, axis=axis, keepdims=True)
-
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    neg_inf = np.array(-np.inf, dtype=x.dtype)
-    masked = np.where(mask, x, neg_inf)
-    m = np.max(masked, axis=axis, keepdims=True)
+    m = np.max(x, axis=axis, keepdims=True)
     degenerate = ~np.isfinite(m)
     if np.any(degenerate):
-        if np.any(degenerate & ~np.any(mask, axis=axis, keepdims=True)):
-            raise DegenerateGroupError("softmax group with every slot masked out")
         raise DegenerateGroupError(
             f"softmax group has non-finite logits: a +inf or NaN logit, or every "
-            f"unmasked logit -inf, in {int(degenerate.sum())} group(s)")
-    e = np.where(mask, np.exp(masked - m), 0.0)
-    return e / np.sum(e, axis=axis, keepdims=True)
+            f"logit -inf, in {int(degenerate.sum())} group(s)")
+    e = np.exp(x - m)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def softmax_vjp(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarray:
     """Cotangent of the logits of p = softmax(logits, axis) given the
     cotangent dp of p: p * (dp - sum(p * dp, axis)). Overwrites and returns
-    dp. Slots with p == 0 (masked out) get exactly zero."""
+    dp. Slots masked out by a -inf logit have p == 0 and get exactly zero."""
     inner = np.sum(p * dp, axis=axis, keepdims=True)
     dp -= inner
     dp *= p

@@ -70,13 +70,12 @@ def nesterov_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                   state: OptimizerState, lr: float) -> None:
     """v <- mu*v - lr*g; theta <- theta + mu*v - lr*g (lookahead form).
 
-    Updates arrays in place and advances the EMA shadows.
+    Updates arrays in place and advances the EMA shadows. Gradients are taken
+    as finite: GradTape.backward has already rejected non-finite ones.
     """
     mu = state.momentum
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(name)
         v = state.velocity[name]
         v *= mu
         v -= lr * g

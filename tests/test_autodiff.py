@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from localattn.autodiff import GradTape, backward, gradcheck
+from localattn.autodiff import GradTape, gradcheck
 from localattn.errors import ConfigurationError, DimensionError, NonFiniteGradientError
 from localattn.layers import AttentionStem, BatchNorm2d, Conv2d, Linear, LocalAttention, ReLU
 from localattn.model import ModelSpec, build_model
@@ -65,14 +65,6 @@ class TestTapeMechanics:
         with pytest.raises(NonFiniteGradientError) as exc:
             tape.backward(bad)
         assert "fc" in str(exc.value)
-
-    def test_module_level_backward_wrapper_returns_gradient_set(self):
-        layer = Linear(2, 2, rng=np.random.default_rng(11), dtype=np.float64)
-        tape = GradTape()
-        y, ctx = layer.forward(np.array([[-1.0, 2.0]]))
-        tape.record("fc", layer, ctx)
-        grads = backward(np.ones_like(y), tape)
-        assert set(grads) == {"fc.weight", "fc.bias"}
 
 
 class TestGradcheck:

@@ -7,6 +7,7 @@ from localattn import reference as ref
 from localattn.autodiff import gradcheck
 from localattn.errors import (
     ConfigurationError,
+    DegenerateGroupError,
     DimensionError,
     PaddingError,
     UnsupportedExtentError,
@@ -298,20 +299,59 @@ def _stem(seed=0, **kwargs):
                          **kwargs)
 
 
+def _stem_and_oracle(shape, mixtures=4):
+    """Inference-mode stem output and the compositional oracle's, on a
+    random input of `shape` with random running statistics."""
+    rng = np.random.default_rng(20)
+    stem = _stem(21, mixtures=mixtures)
+    stem.norm.running_mean = rng.standard_normal(8)
+    stem.norm.running_var = rng.uniform(0.5, 2.0, 8)
+    x = rng.standard_normal(shape)
+    y, _ = stem.forward(x, training=False)
+    want = ref.stem_attention_reference(
+        x, stem.W_Q, stem.W_K, stem.W_V, stem.emb_row, stem.emb_col,
+        stem.nu, heads=stem.heads, gamma=stem.norm.gamma,
+        beta=stem.norm.beta, running_mean=stem.norm.running_mean,
+        running_var=stem.norm.running_var, epsilon=stem.norm.epsilon)
+    return y, want
+
+
+# (input shape, mixtures): one 4x4 block, H != W both ways, batch 1 and 2,
+# a single mixture matrix
+STEM_EDGE_SHAPES = [
+    pytest.param((1, 3, 4, 4), 4, id="4x4-one-block"),
+    pytest.param((2, 3, 8, 12), 4, id="8x12-batch2"),
+    pytest.param((1, 3, 12, 4), 4, id="12x4-batch1"),
+    pytest.param((2, 3, 8, 8), 1, id="8x8-mixtures1"),
+]
+
+
 class TestAttentionStem:
     def test_matches_compositional_oracle(self):
-        rng = np.random.default_rng(20)
-        stem = _stem(21)
-        stem.norm.running_mean = rng.standard_normal(8)
-        stem.norm.running_var = rng.uniform(0.5, 2.0, 8)
-        x = rng.standard_normal((1, 3, 8, 8))
-        y, _ = stem.forward(x, training=False)
-        want = ref.stem_attention_reference(
-            x, stem.W_Q, stem.W_K, stem.W_V, stem.emb_row, stem.emb_col,
-            stem.nu, heads=stem.heads, gamma=stem.norm.gamma,
-            beta=stem.norm.beta, running_mean=stem.norm.running_mean,
-            running_var=stem.norm.running_var, epsilon=stem.norm.epsilon)
+        y, want = _stem_and_oracle((1, 3, 8, 8))
         np.testing.assert_allclose(y, want, atol=1e-8)
+
+    @pytest.mark.parametrize("shape, mixtures", STEM_EDGE_SHAPES)
+    def test_matches_compositional_oracle_at_edge_shapes(self, shape, mixtures):
+        y, want = _stem_and_oracle(shape, mixtures)
+        np.testing.assert_allclose(y, want, atol=1e-8)
+
+    @pytest.mark.parametrize("shape, mixtures", STEM_EDGE_SHAPES)
+    def test_gradcheck_at_edge_shapes(self, shape, mixtures):
+        report = gradcheck(_stem(30, mixtures=mixtures), shape, tolerance=1e-4, seed=31)
+        assert report.passed, report.per_entry
+
+    def test_non_finite_query_weights_raise(self):
+        stem = _stem(32)
+        stem.W_Q[0, 0] = np.inf
+        with pytest.raises(DegenerateGroupError, match="non-finite logits"):
+            stem.forward(np.random.default_rng(33).standard_normal((1, 3, 8, 8)))
+
+    def test_non_finite_mixture_logits_raise(self):
+        stem = _stem(34)
+        stem.nu[1, 0] = np.inf
+        with pytest.raises(DegenerateGroupError, match="non-finite logits"):
+            stem.mixture_weights()
 
     def test_singleton_mixture_collapses_to_plain_values(self):
         stem = _stem(22, mixtures=1)
@@ -371,6 +411,14 @@ def _max_pool_backward_naive(x, dy, window, stride):
     return dx
 
 
+def _with_neg_inf_channel(x):
+    """A copy of x whose channel 0 is all -inf, so its border windows tie
+    with the pool's -inf padding."""
+    x = x.copy()
+    x[:, 0] = -np.inf
+    return x
+
+
 class TestPools:
     def test_max_pool_constant_image(self):
         y, _ = MaxPool(3, 2).forward(np.full((1, 2, 6, 6), 1.5))
@@ -393,11 +441,13 @@ class TestPools:
         pytest.param((2, 2, 5, 7), 5, 2, id="5x7-w5s2"),
         pytest.param((2, 1, 3, 3), 4, 1, id="3x3-w4s1-window-beyond-image"),
         pytest.param((3, 2, 1, 1), 3, 2, id="1x1-w3s2"),
+        pytest.param((1, 2, 5, 5), 3, 2, id="5x5-w3s2"),
     ])
     def test_max_pool_matches_naive_oracle_at_edge_shapes(self, shape, window, stride):
         x = np.random.default_rng(30).standard_normal(shape)
-        y, _ = MaxPool(window, stride).forward(x)
-        np.testing.assert_array_equal(y, ref.max_pool_reference(x, window, stride))
+        for x in (x, _with_neg_inf_channel(x)):
+            y, _ = MaxPool(window, stride).forward(x)
+            np.testing.assert_array_equal(y, ref.max_pool_reference(x, window, stride))
 
     def test_avg_pool_borders_average_valid_elements_only(self):
         x = np.random.default_rng(31).standard_normal((1, 1, 3, 3))
@@ -411,6 +461,7 @@ class TestPools:
         ((3, 2, 5, 9), 2, 2),
         ((3, 2, 1, 1), 3, 2),
         ((2, 3, 8, 8), 4, 4),
+        ((1, 2, 5, 5), 3, 2),
     ])
     @pytest.mark.parametrize("ties", [False, True])
     def test_max_pool_backward_matches_naive_routing(self, shape, window, stride, ties):
@@ -421,9 +472,10 @@ class TestPools:
         dy_shape = shape[:2] + (-(-shape[2] // stride), -(-shape[3] // stride))
         dy = rng.standard_normal(dy_shape)
         pool = MaxPool(window, stride)
-        dx, grads = pool.backward(dy, pool.forward(x)[1])
-        assert grads == {}
-        np.testing.assert_array_equal(dx, _max_pool_backward_naive(x, dy, window, stride))
+        for x in (x, _with_neg_inf_channel(x)):
+            dx, grads = pool.backward(dy, pool.forward(x)[1])
+            assert grads == {}
+            np.testing.assert_array_equal(dx, _max_pool_backward_naive(x, dy, window, stride))
 
     def test_max_pool_padding_never_wins(self):
         x = np.full((1, 1, 5, 5), -7.0)

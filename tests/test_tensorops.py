@@ -1,5 +1,6 @@
-"""Tensor substrate: masked softmax and the k x k window neighborhood that
-local attention reads (padded sliding windows masked by window_validity)."""
+"""Tensor substrate: the softmax, where a slot is masked out by a logit of
+-inf, and the k x k window neighborhood that local attention reads (padded
+sliding windows, with out-of-image slots marked by window_validity)."""
 
 import numpy as np
 import pytest
@@ -25,8 +26,7 @@ class TestSoftmaxAxis:
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_masked_two_way_closed_form(self):
-        out = softmax_axis(np.array([1.0, 2.0, 3.0]), -1,
-                           np.array([True, False, True]))
+        out = softmax_axis(np.array([1.0, -np.inf, 3.0]), -1)
         e2 = np.e ** 2
         np.testing.assert_allclose(out, [1 / (1 + e2), 0.0, e2 / (1 + e2)],
                                    atol=1e-12)
@@ -36,7 +36,8 @@ class TestSoftmaxAxis:
         logits = rng.standard_normal((4, 6))
         mask = rng.random((4, 6)) < 0.6
         mask[:, 0] = True
-        out = softmax_axis(logits, -1, mask)
+        logits[~mask] = -np.inf
+        out = softmax_axis(logits, -1)
         assert np.all(out[~mask] == 0.0)
         np.testing.assert_allclose(out.sum(-1), 1.0, atol=1e-6)
         assert np.all(out >= 0.0)
@@ -54,16 +55,16 @@ class TestSoftmaxAxis:
         np.testing.assert_allclose(softmax_axis(x, 1).sum(axis=1), 1.0, atol=1e-6)
 
     def test_all_masked_group_raises(self):
-        mask = np.array([[True, True], [False, False]])
+        logits = np.array([[0.0, 0.0], [-np.inf, -np.inf]])
         with pytest.raises(DegenerateGroupError):
-            softmax_axis(np.zeros((2, 2)), -1, mask)
+            softmax_axis(logits, -1)
 
     @pytest.mark.parametrize("row", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, -np.inf]],
                              ids=["pos-inf", "nan", "all-neg-inf"])
     def test_non_finite_logits_in_a_valid_group_are_named(self, row):
         logits = np.array([[0.0, 1.0], row])
         with pytest.raises(DegenerateGroupError, match="non-finite logits"):
-            softmax_axis(logits, -1, np.ones((2, 2), dtype=bool))
+            softmax_axis(logits, -1)
 
 
 class TestExtractNeighborhood:

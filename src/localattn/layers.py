@@ -304,12 +304,31 @@ class LocalAttention:
         return dx_in.reshape(x_in.shape), grads
 
 
+def _channel_sums(t: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an (N, C, H, W) array: one (N*C, H*W) @ ones GEMV,
+    then a sum over N. numpy's own reduction over axes (0, 2, 3) of a
+    C-contiguous array with a small H*W is several times slower."""
+    n, c, height, width = t.shape
+    return (t.reshape(n * c, height * width) @ np.ones(height * width, t.dtype)).reshape(
+        n, c).sum(axis=0)
+
+
+def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a*b over (N, H, W), without an a*b temporary."""
+    n, c, height, width = a.shape
+    rows = (n * c, height * width)
+    return np.einsum("ij,ij->i", a.reshape(rows), b.reshape(rows)).reshape(n, c).sum(axis=0)
+
+
 class BatchNorm2d:
     """Per-channel batch normalization over (N, H, W).
 
     Training mode normalizes by batch statistics and folds them into the
     running estimates as running = decay*running + (1-decay)*batch; inference
-    mode normalizes by the running estimates.
+    mode normalizes by the running estimates. Per-channel sums are taken on
+    the NCHW array viewed as (N*C, H*W) rows: a GEMV against ones, or a row
+    dot product, then a sum over N. The variance is the mean square of the
+    centred input, which is then scaled in place into the saved x_hat.
     """
 
     def __init__(self, channels: int, decay: float = 0.9, epsilon: float = 1e-5,
@@ -333,32 +352,37 @@ class BatchNorm2d:
             raise DimensionError(f"expected (N, {self.channels}, H, W), got {x.shape}")
         shape = (1, self.channels, 1, 1)
         if training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            m = x.shape[0] * x.shape[2] * x.shape[3]
+            mean = _channel_sums(x) / m
+            x_hat = x - mean.reshape(shape)
+            var = _channel_dots(x_hat, x_hat) / m
             self.running_mean += (1.0 - self.decay) * (mean - self.running_mean)
             self.running_var += (1.0 - self.decay) * (var - self.running_var)
         else:
-            mean = self.running_mean
+            x_hat = x - self.running_mean.reshape(shape)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        y = self.gamma.reshape(shape) * x_hat + self.beta.reshape(shape)
+        x_hat *= inv_std.reshape(shape)
+        y = x_hat * self.gamma.reshape(shape)
+        y += self.beta.reshape(shape)
         return y, (x_hat, inv_std, training, x.shape)
 
     def backward(self, dy: np.ndarray, ctx):
         x_hat, inv_std, training, x_shape = ctx
         shape = (1, self.channels, 1, 1)
-        d_gamma = np.sum(dy * x_hat, axis=(0, 2, 3))
-        d_beta = np.sum(dy, axis=(0, 2, 3))
-        dx_hat = dy * self.gamma.reshape(shape)
+        d_gamma = _channel_dots(dy, x_hat)
+        d_beta = _channel_sums(dy)
+        scale = (self.gamma * inv_std).reshape(shape)
         if training:
+            # gamma*inv_std * (dy - mean(dy) - x_hat*mean(dy*x_hat)), the batch
+            # means taken over (N, H, W)
             m = x_shape[0] * x_shape[2] * x_shape[3]
-            sum_dxhat = np.sum(dx_hat, axis=(0, 2, 3)).reshape(shape)
-            sum_dxhat_xhat = np.sum(dx_hat * x_hat, axis=(0, 2, 3)).reshape(shape)
-            dx = (inv_std.reshape(shape) / m) * (
-                m * dx_hat - sum_dxhat - x_hat * sum_dxhat_xhat)
+            dx = x_hat * (-d_gamma / m).reshape(shape)
+            dx += dy
+            dx -= (d_beta / m).reshape(shape)
+            dx *= scale
         else:
-            dx = dx_hat * inv_std.reshape(shape)
+            dx = dy * scale
         return dx, {"gamma": d_gamma.astype(self.gamma.dtype),
                     "beta": d_beta.astype(self.beta.dtype)}
 
@@ -370,6 +394,19 @@ class AttentionStem:
 
     The mixture weight p(a,b,m) = softmax_m((emb_row[a] + emb_col[b]) . nu[m])
     is shared across heads and across blocks.
+
+    The attention runs in one block layout. The d_in-channel input is copied
+    once to (n, hb, wb, d_in, 16), slot a*4 + b holding block position (a, b),
+    and Q, K and V are projected from it straight into (n, hb, wb, heads,
+    d_head, 16). Logits are K^T Q with the key-slot axis t leading, (t, n, hb,
+    wb, heads, s) for query slot s, so the softmax reduces over axis 0 and
+    the block output y = V @ attn reads the weights through a (..., t, s)
+    view. Only y goes back to NCHW, for the `norm` and `pool` children. ctx
+    keeps the block input, the weights and y. Backward projects Q, K and V
+    again, which an image's few input channels make cheaper than keeping
+    them, and takes the softmax VJP's inner sum over key slots,
+    sum_t attn * d_attn, as sum_d dy * y over d_head (the FlashAttention
+    row-sum identity).
     """
 
     WINDOW = 4
@@ -414,86 +451,86 @@ class AttentionStem:
         return softmax_axis(logits, -1)
 
     def _to_blocks(self, t: np.ndarray) -> np.ndarray:
-        """(n, d_out, H, W) -> (n, heads, hb, wb, d_head, win*win): the pixels
-        of each block, head by head, at a*win + b for block position (a, b)."""
-        n, _, height, width = t.shape
+        """(n, C, H, W) -> C-contiguous (n, hb, wb, C, win*win): each block's
+        pixels at slot a*win + b for block position (a, b)."""
+        n, c, height, width = t.shape
         win, hb, wb = self.WINDOW, height // self.WINDOW, width // self.WINDOW
-        tb = t.reshape(n, self.heads, self.d_head, hb, win, wb, win)
-        return np.ascontiguousarray(tb.transpose(0, 1, 3, 5, 2, 4, 6)).reshape(
-            n, self.heads, hb, wb, self.d_head, win * win)
+        tb = t.reshape(n, c, hb, win, wb, win).transpose(0, 2, 4, 1, 3, 5)
+        return np.ascontiguousarray(tb).reshape(n, hb, wb, c, win * win)
 
     def _from_blocks(self, tb: np.ndarray) -> np.ndarray:
-        """Inverse of _to_blocks: a C-contiguous (n, d_out, H, W) array."""
-        n, heads, hb, wb, dh, _ = tb.shape
+        """Inverse of _to_blocks, for any (n, hb, wb, ..., win*win) array whose
+        middle axes flatten to the channels: a C-contiguous (n, C, H, W) array."""
+        n, hb, wb = tb.shape[:3]
         win = self.WINDOW
-        t = tb.reshape(n, heads, hb, wb, dh, win, win).transpose(0, 1, 4, 2, 5, 3, 6)
-        return np.ascontiguousarray(t).reshape(n, self.d_out, hb * win, wb * win)
+        t = tb.reshape(n, hb, wb, -1, win, win).transpose(0, 3, 1, 4, 2, 5)
+        return np.ascontiguousarray(t).reshape(n, -1, hb * win, wb * win)
+
+    def _project(self, xb: np.ndarray, w_mixed: np.ndarray):
+        """Q, K and V of a block-layout input, each (n, hb, wb, heads, d_head,
+        win*win). Every output costs d_in multiply-adds, so for an image
+        input this is cheaper to redo in backward than to keep."""
+        slots = xb.shape[-1]
+        shape = xb.shape[:3] + (self.heads, self.d_head, slots)
+        v = np.einsum("soi,nis->nos", w_mixed, xb.reshape(-1, self.d_in, slots), optimize=True)
+        return (self.W_Q @ xb).reshape(shape), (self.W_K @ xb).reshape(shape), v.reshape(shape)
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 4 or x.shape[1] != self.d_in:
             raise DimensionError(f"expected (N, {self.d_in}, H, W), got {x.shape}")
-        n, _, height, width = x.shape
+        height, width = x.shape[2], x.shape[3]
         win = self.WINDOW
         if height % win or width % win:
             raise PaddingError(
                 f"input {height}x{width} not divisible by {win}; pre-pad the image")
-        hb, wb = height // win, width // win
 
         p = self.mixture_weights().astype(x.dtype)                          # (4, 4, M)
-        w_mixed = np.einsum("abm,moi->aboi", p, self.W_V, optimize=True)    # (4, 4, out, in)
+        w_mixed = np.einsum("abm,moi->aboi", p, self.W_V, optimize=True).reshape(
+            win * win, self.d_out, self.d_in)                               # (slot, out, in)
 
-        x_flat = x.reshape(n, self.d_in, height * width)
-        q = (self.W_Q @ x_flat).reshape(n, self.d_out, height, width)
-        key = (self.W_K @ x_flat).reshape(n, self.d_out, height, width)
-        xb = x.reshape(n, self.d_in, hb, win, wb, win)
-        vt = np.einsum("aboi,nihavb->nohavb", w_mixed, xb, optimize=True)
-        vt = vt.reshape(n, self.d_out, height, width)
-
-        qb = self._to_blocks(q)
-        kb = self._to_blocks(key)
-        vb = self._to_blocks(vt)
-        logits = np.matmul(np.swapaxes(qb, -2, -1), kb)         # (n, h, u, v, s, t)
-        attn = softmax_axis(logits, -1)
-        yb = np.matmul(vb, np.swapaxes(attn, -2, -1))           # (n, h, u, v, d, s)
+        xb = self._to_blocks(x)                                             # (n, hb, wb, in, s)
+        q, key, v = self._project(xb, w_mixed)
+        logits = np.empty((win * win,) + q.shape[:-2] + (win * win,), dtype=q.dtype)
+        np.matmul(np.swapaxes(key, -2, -1), q, out=np.moveaxis(logits, 0, -2))
+        attn = softmax_axis(logits, 0)                                      # (t, ..., s)
+        yb = v @ np.moveaxis(attn, 0, -2)                                   # (..., d_head, s)
 
         normed, bn_ctx = self.norm.forward(self._from_blocks(yb), training)
         y, pool_ctx = self.pool.forward(normed, training)
-        return y, (x, p, w_mixed, qb, kb, vb, attn, bn_ctx, pool_ctx)
+        return y, (xb, p, w_mixed, attn, yb, bn_ctx, pool_ctx)
 
     def backward(self, dy: np.ndarray, ctx):
-        x, p, w_mixed, qb, kb, vb, attn, bn_ctx, pool_ctx = ctx
-        n, _, height, width = x.shape
-        win = self.WINDOW
-        hb, wb = height // win, width // win
-
+        xb, p, w_mixed, attn, yb, bn_ctx, pool_ctx = ctx
         d_normed, _ = self.pool.backward(dy, pool_ctx)
         d_attended, bn_grads = self.norm.backward(d_normed, bn_ctx)
+        q, key, v = self._project(xb, w_mixed)
 
-        dyb = self._to_blocks(d_attended)
-        d_attn = np.matmul(np.swapaxes(dyb, -2, -1), vb)
-        dvb = np.matmul(dyb, attn)
-        dlogits = softmax_vjp(attn, d_attn)
-        dqb = np.matmul(kb, np.swapaxes(dlogits, -2, -1))
-        dkb = np.matmul(qb, dlogits)
+        dyb = self._to_blocks(d_attended).reshape(yb.shape)
+        attn_ts = np.moveaxis(attn, 0, -2)                                  # (..., t, s)
+        dv = dyb @ np.swapaxes(attn_ts, -2, -1)
+        # softmax VJP over the key slots t: attn * (d_attn - sum_t attn * d_attn),
+        # and sum_t attn[t, s] * (v^T dy)[t, s] = sum_d dy[d, s] * y[d, s]
+        dlogits = np.empty_like(attn)
+        dl_ts = np.moveaxis(dlogits, 0, -2)
+        np.matmul(np.swapaxes(v, -2, -1), dyb, out=dl_ts)
+        dlogits -= np.einsum("...ds,...ds->...s", dyb, yb)
+        dlogits *= attn
+        dq = key @ dl_ts
+        dk = q @ np.swapaxes(dl_ts, -2, -1)
 
-        dq = self._from_blocks(dqb)
-        dk = self._from_blocks(dkb)
-        dvt = self._from_blocks(dvb)
+        slots = xb.shape[-1]
+        x_flat = xb.reshape(-1, self.d_in, slots)                          # (blocks, in, s)
+        dq, dk, dv = (t.reshape(-1, self.d_out, slots) for t in (dq, dk, dv))
+        x_t = np.swapaxes(x_flat, -2, -1)
+        grads = {"norm." + name: g for name, g in bn_grads.items()}
+        grads["W_Q"] = (dq @ x_t).sum(axis=0)
+        grads["W_K"] = (dk @ x_t).sum(axis=0)
+        dxb = self.W_Q.T @ dq + self.W_K.T @ dk
+        dxb += np.einsum("soi,nos->nis", w_mixed, dv, optimize=True)
+        dx = self._from_blocks(dxb.reshape(xb.shape))
 
-        grads = {"norm." + k: v for k, v in bn_grads.items()}
-        x_flat = x.reshape(n, self.d_in, height * width)
-        dq_flat = dq.reshape(n, self.d_out, height * width)
-        dk_flat = dk.reshape(n, self.d_out, height * width)
-        grads["W_Q"] = np.tensordot(dq_flat, x_flat, axes=([0, 2], [0, 2]))
-        grads["W_K"] = np.tensordot(dk_flat, x_flat, axes=([0, 2], [0, 2]))
-        dx = (self.W_Q.T @ dq_flat + self.W_K.T @ dk_flat).reshape(x.shape)
-
-        xb = x.reshape(n, self.d_in, hb, win, wb, win)
-        dvtb = dvt.reshape(n, self.d_out, hb, win, wb, win)
-        d_wmixed = np.einsum("nohavb,nihavb->aboi", dvtb, xb, optimize=True)
-        dxb = np.einsum("aboi,nohavb->nihavb", w_mixed, dvtb, optimize=True)
-        dx += dxb.reshape(n, self.d_in, height, width)
-
+        d_wmixed = np.einsum("nos,nis->soi", dv, x_flat, optimize=True).reshape(
+            self.WINDOW, self.WINDOW, self.d_out, self.d_in)
         grads["W_V"] = np.einsum("abm,aboi->moi", p, d_wmixed, optimize=True)
         dp = np.einsum("aboi,moi->abm", d_wmixed, self.W_V, optimize=True)
         dp_logits = softmax_vjp(p, dp)                                      # (4, 4, M)
@@ -552,7 +589,9 @@ class MaxPool:
 
 class AvgPool2x2:
     """2x2 stride-2 average pooling; odd borders average the in-image elements
-    only, so a constant image stays constant."""
+    only, so a constant image stays constant. The window sums are four strided
+    adds in tap order (0, 0), (0, 1), (1, 0), (1, 1); only an odd H or W is
+    zero-padded first."""
 
     def __init__(self):
         self.params = {}
@@ -561,13 +600,17 @@ class AvgPool2x2:
         n, c, height, width = x.shape
         h_out = -(-height // 2)
         w_out = -(-width // 2)
-        xp = np.zeros((n, c, 2 * h_out, 2 * w_out), dtype=x.dtype)
-        xp[:, :, :height, :width] = x
-        sums = xp.reshape(n, c, h_out, 2, w_out, 2).sum(axis=(3, 5))
+        xp = x
+        if height % 2 or width % 2:
+            xp = np.zeros((n, c, 2 * h_out, 2 * w_out), dtype=x.dtype)
+            xp[:, :, :height, :width] = x
+        y = xp[:, :, 0::2, 0::2] + xp[:, :, 0::2, 1::2]
+        y += xp[:, :, 1::2, 0::2]
+        y += xp[:, :, 1::2, 1::2]
         rows = np.minimum(2, height - 2 * np.arange(h_out))
         cols = np.minimum(2, width - 2 * np.arange(w_out))
         count = (rows[:, None] * cols[None, :]).astype(x.dtype)
-        y = sums / count
+        y /= count
         return y, (x.shape, count)
 
     def backward(self, dy: np.ndarray, ctx):

@@ -28,7 +28,8 @@ def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:
         raise DegenerateGroupError(
             f"softmax group has non-finite logits: a +inf or NaN logit, or every "
             f"logit -inf, in {int(degenerate.sum())} group(s)")
-    e = np.exp(x - m)
+    e = np.subtract(x, m, dtype=np.result_type(x, 0.0))    # integer logits give float64
+    np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
 

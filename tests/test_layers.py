@@ -390,6 +390,20 @@ class TestAttentionStem:
         with pytest.raises(PaddingError):
             _stem(27).forward(np.zeros((1, 3, 10, 8)))
 
+    def test_saved_context_holds_no_copy_of_q_k_or_v(self):
+        # the block-layout input, the weights and the pre-norm block output y,
+        # plus the norm's x_hat and the pool's argmax: 50.5 MiB at this shape.
+        # Backward projects Q, K and V (24 MiB here) again from the 3-channel
+        # input rather than keep them.
+        stem = AttentionStem(3, 16, rng=np.random.default_rng(35))
+        x = np.random.default_rng(36).standard_normal((128, 3, 32, 32)).astype(np.float32)
+        _, ctx = stem.forward(x, training=True)
+        *own, bn_ctx, pool_ctx = ctx
+        assert _owned_bytes(own + list(bn_ctx) + list(pool_ctx)) < 51 * 2 ** 20
+        block_shape = (128, 8, 8, 4, 4, 16)                    # one of Q, K, V or y
+        assert [a.shape for a in own if a.shape == block_shape] == [block_shape]
+        assert not any(a.shape == (128, 16, 32, 32) for a in own)
+
 
 def _max_pool_backward_naive(x, dy, window, stride):
     """Each output's gradient goes to the first maximal in-image slot of its
@@ -477,6 +491,30 @@ class TestPools:
             assert grads == {}
             np.testing.assert_array_equal(dx, _max_pool_backward_naive(x, dy, window, stride))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 6), (2, 2, 5, 5), (3, 2, 5, 8), (2, 1, 7, 4),
+                                       (3, 2, 1, 1), (2, 2, 1, 7)],
+                             ids=["4x6", "5x5", "5x8", "7x4", "1x1", "1x7"])
+    def test_avg_pool_forward_and_backward_match_reference(self, shape, dtype):
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal(shape).astype(dtype)
+        pool = AvgPool2x2()
+        y, ctx = pool.forward(x)
+        tol = 1e-6 if dtype == np.float32 else 1e-14
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y, ref.avg_pool_2x2_reference(x), rtol=tol, atol=tol)
+        # the pool is linear, so dx[i] = <dy, reference(e_i)> over unit inputs e_i
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        dx, grads = pool.backward(dy, ctx)
+        unit = np.zeros(shape)
+        want = np.zeros(shape)
+        for i in np.ndindex(*shape):
+            unit[i] = 1.0
+            want[i] = np.sum(dy * ref.avg_pool_2x2_reference(unit))
+            unit[i] = 0.0
+        assert grads == {} and dx.shape == shape
+        np.testing.assert_allclose(dx, want, rtol=tol, atol=tol)
+
     def test_max_pool_padding_never_wins(self):
         x = np.full((1, 1, 5, 5), -7.0)
         y, _ = MaxPool(3, 2).forward(x)
@@ -530,3 +568,34 @@ class TestBatchNorm:
         y, _ = bn.forward(np.full((4, 1, 2, 2), 2.0), training=True)
         assert np.all(np.isfinite(y))
         np.testing.assert_allclose(y, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("shape", [(1, 3, 1, 1), (2, 3, 3, 5), (3, 1, 4, 2)],
+                             ids=["batch1-1x1", "3x5", "c1"])
+    def test_gradcheck_at_edge_shapes(self, shape, training):
+        rng = np.random.default_rng(38)
+        c = shape[1]
+        bn = BatchNorm2d(c, dtype=np.float64)
+        bn.gamma[:] = rng.uniform(0.5, 2.0, c)
+        bn.beta[:] = rng.standard_normal(c)
+        bn.running_mean[:] = rng.standard_normal(c)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, c)
+        report = gradcheck(bn, shape, tolerance=1e-4, seed=39, training=training)
+        assert report.passed, report.per_entry
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_strided_input_matches_contiguous_copy(self, training):
+        rng = np.random.default_rng(40)
+        base = rng.standard_normal((4, 6, 7, 10)) * 2.0 + 1.0
+        dy = rng.standard_normal((4, 3, 7, 5))
+        view = base[:, ::2, :, 1::2]
+        assert not view.flags.c_contiguous
+        out = []
+        for x in (view, view.copy()):
+            bn = BatchNorm2d(3, dtype=np.float64)
+            bn.gamma[:] = [0.5, -1.5, 2.0]
+            y, ctx = bn.forward(x, training=training)
+            dx, grads = bn.backward(dy[:, :, :, ::-1], ctx)
+            out.append((y, dx, grads["gamma"], grads["beta"], bn.running_mean, bn.running_var))
+        for got, want in zip(*out):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from localattn.errors import DegenerateGroupError, UnsupportedExtentError
-from localattn.tensorops import (pad_hw, sliding_windows, softmax_axis, window_slices,
-                                 window_validity)
+from localattn.tensorops import (pad_hw, sliding_windows, softmax_axis, softmax_vjp,
+                                 window_slices, window_validity)
 
 
 def _in_image(i, j, u, v, k, height, width):
@@ -20,6 +20,11 @@ class TestSoftmaxAxis:
     def test_uniform_logits_give_uniform_weights(self):
         np.testing.assert_allclose(softmax_axis(np.zeros(3), -1),
                                    np.full(3, 1.0 / 3.0), atol=1e-15)
+
+    def test_integer_logits_give_float64_weights(self):
+        out = softmax_axis(np.array([[0, 0], [0, 1]]), -1)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out[0], [0.5, 0.5], atol=1e-15)
 
     def test_stable_under_large_logits(self):
         out = softmax_axis(np.array([1000.0, 0.0]), -1)
@@ -65,6 +70,42 @@ class TestSoftmaxAxis:
         logits = np.array([[0.0, 1.0], row])
         with pytest.raises(DegenerateGroupError, match="non-finite logits"):
             softmax_axis(logits, -1)
+
+
+def _masked_middle_axis_logits(seed):
+    """(3, 5, 4) logits whose groups run over the middle axis, with about
+    half the slots set to -inf and slot 0 of every group kept."""
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((3, 5, 4)) * 3
+    keep = rng.random((3, 5, 4)) < 0.5
+    keep[:, 0] = True
+    logits[~keep] = -np.inf
+    return logits, keep
+
+
+class TestSoftmaxMiddleAxis:
+    def test_masked_slots_exactly_zero(self):
+        logits, keep = _masked_middle_axis_logits(6)
+        out = softmax_axis(logits, -2)
+        assert np.all(out[~keep] == 0.0)
+        np.testing.assert_allclose(out.sum(axis=-2), 1.0, atol=1e-12)
+        want = softmax_axis(np.swapaxes(logits, -2, -1).copy(), -1)
+        np.testing.assert_allclose(out, np.swapaxes(want, -2, -1), rtol=0, atol=1e-15)
+
+    def test_degenerate_group_raises(self):
+        logits, _ = _masked_middle_axis_logits(7)
+        logits[1, :, 2] = -np.inf
+        with pytest.raises(DegenerateGroupError, match="in 1 group"):
+            softmax_axis(logits, -2)
+
+    def test_vjp_matches_last_axis_on_a_transposed_copy(self):
+        logits, keep = _masked_middle_axis_logits(8)
+        p = softmax_axis(logits, -2)
+        dp = np.random.default_rng(9).standard_normal(p.shape)
+        want = softmax_vjp(np.swapaxes(p, -2, -1).copy(), np.swapaxes(dp, -2, -1).copy())
+        got = softmax_vjp(p, dp.copy(), axis=-2)
+        np.testing.assert_allclose(got, np.swapaxes(want, -2, -1), rtol=0, atol=1e-15)
+        assert np.all(got[~keep] == 0.0)
 
 
 class TestExtractNeighborhood:

@@ -36,8 +36,8 @@ layer = LocalAttention(4, 4, k=3, heads=2, encoding_mode="none",
 y, ctx = layer.forward(x)
 print("\noutput shape:", y.shape)
 
-# ctx[4] holds the attention weights as (batch, heads, H, W, k*k).
-attn = ctx[4]
+# window_weights reads the saved attention weights as (batch, heads, H, W, k*k).
+attn = layer.window_weights(ctx)
 print("every pixel's weights sum to one:",
       bool(np.allclose(attn.sum(-1), 1.0)))
 corner = attn[0, 0, 0, 0].reshape(3, 3)

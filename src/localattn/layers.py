@@ -17,10 +17,14 @@ stride; downsampling is done by the pooling layers.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, PaddingError, UnsupportedExtentError
-from .tensorops import pad_hw, softmax_axis, softmax_vjp, window_slices, window_validity
+from .tensorops import (block_attention, block_attention_vjp, pad_hw, softmax_axis, softmax_vjp,
+                        window_slices, window_validity)
 
 MODES = ("none", "absolute", "relative", "relative_only")
 
@@ -131,6 +135,110 @@ class Conv2d:
         return np.ascontiguousarray(dx), grads
 
 
+class _AxisBlocks(NamedTuple):
+    """Query blocks and key windows along one image axis."""
+    b: int               # queries per block
+    blocks: int          # ceil(side / b)
+    span: int            # keys per block window
+    start: np.ndarray    # (blocks,) first key of each window
+    mask: np.ndarray     # (span, blocks, b): 0 where |key - query| <= k//2, else -inf
+    emb_row: np.ndarray  # (blocks, b, span): offset-embedding row key - query + k - 1,
+    #                      clipped into the window's rows where masked
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_blocks(side: int, k: int) -> _AxisBlocks:
+    """The block rule: a side of at most 2k is one block; a longer side is
+    cut into blocks of 4 queries, the last one padded. Each block's key
+    window is its queries widened by k//2 on both sides, clamped inside the
+    image, so no key is padding. A padded query takes the last query's mask
+    and offsets."""
+    half = k // 2
+    b = side if side <= 2 * k else 4
+    blocks = -(-side // b)
+    span = min(b + 2 * half, side)
+    start = np.clip(np.arange(blocks) * b - half, 0, side - span)
+    query = np.minimum(np.arange(blocks)[:, None] * b + np.arange(b), side - 1)
+    offset = start[:, None] + np.arange(span)[:, None, None] - query        # (span, blocks, b)
+    mask = np.where(np.abs(offset) <= half, 0.0, -np.inf)
+    emb_row = np.clip(offset, -half, half).transpose(1, 2, 0) + k - 1
+    for table in (start, mask, emb_row):
+        table.flags.writeable = False
+    return _AxisBlocks(b, blocks, span, start, mask, emb_row)
+
+
+def _to_blocks(t: np.ndarray, bh: int, bw: int) -> np.ndarray:
+    """(..., d, H, W) -> (..., BH, BW, d, bh*bw): the pixels of each bh x bw
+    block, row-major, zero-padded where a last block overhangs the image. A
+    single block is a view."""
+    *lead, d, height, width = t.shape
+    blocks_h, blocks_w = -(-height // bh), -(-width // bw)
+    if (blocks_h * bh, blocks_w * bw) != (height, width):
+        t = np.pad(t, [(0, 0)] * (t.ndim - 2)
+                   + [(0, blocks_h * bh - height), (0, blocks_w * bw - width)])
+    m = len(lead)
+    tb = t.reshape(*lead, d, blocks_h, bh, blocks_w, bw)
+    tb = tb.transpose(*range(m), m + 1, m + 3, m, m + 2, m + 4)
+    return tb.reshape(*lead, blocks_h, blocks_w, d, bh * bw)
+
+
+def _from_blocks(tb: np.ndarray, bh: int, bw: int, out: np.ndarray):
+    """Inverse of _to_blocks into `out`, (..., d, H, W); the padding is
+    dropped."""
+    *lead, blocks_h, blocks_w, d, _ = tb.shape
+    m = len(lead)
+    t = tb.reshape(*lead, blocks_h, blocks_w, d, bh, bw)
+    t = t.transpose(*range(m), m + 2, m, m + 3, m + 1, m + 4).reshape(
+        *lead, d, blocks_h * bh, blocks_w * bw)
+    out[...] = t[..., :out.shape[-2], :out.shape[-1]]
+
+
+def _key_windows(t: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks) -> np.ndarray:
+    """(..., d, H, W) -> (..., BH, BW, d, span_h*span_w): each block's key
+    window. A whole image is a view."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        t, (rows.span, cols.span), axis=(-2, -1))
+    if rows.blocks * cols.blocks > 1:
+        windows = windows[..., rows.start[:, None], cols.start, :, :]
+    windows = windows.reshape(windows.shape[:-2] + (-1,))
+    return np.moveaxis(windows, -4, -2)
+
+
+def _scatter_windows(tw: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, out: np.ndarray):
+    """Adjoint of _key_windows into `out`, (..., d, H, W): each window slot
+    adds into the pixel it was read from."""
+    t = np.moveaxis(tw, -2, -4)                                    # (..., d, BH, BW, T)
+    t = t.reshape(t.shape[:-1] + (rows.span, cols.span))
+    if rows.blocks * cols.blocks == 1:
+        out[...] = t[..., 0, 0, :, :]
+        return
+    part = np.zeros(t.shape[:-4] + (rows.blocks, rows.span, out.shape[-1]), dtype=t.dtype)
+    for j, c in enumerate(cols.start):
+        part[..., c:c + cols.span] += t[..., j, :, :]
+    out[...] = 0.0
+    for i, r in enumerate(rows.start):
+        out[..., r:r + rows.span, :] += part[..., i, :, :]
+
+
+# axis-major order of (X, n, heads, BH, BW, bh, bw) arrays: rows, columns
+_AXIS_MAJOR = ((3, 5, 0, 1, 2, 4, 6), (4, 6, 0, 1, 2, 3, 5))
+
+
+def _axis_major(t: np.ndarray, axis: int) -> np.ndarray:
+    """(X, n, heads, BH, BW, bh, bw) -> C-contiguous (B, b, X, M): B and b
+    index the blocks and in-block positions along `axis` (0 rows, 1 columns)
+    and M the rest, so that per-axis tables act by batched matmul."""
+    t = t.transpose(_AXIS_MAJOR[axis])
+    return t.reshape(t.shape[:3] + (-1,))
+
+
+def _from_axis_major(t: np.ndarray, axis: int, shape) -> np.ndarray:
+    """View of an axis-major (B, b, X, M) array as `shape`, (X, n, heads, BH,
+    BW, bh, bw): the inverse of _axis_major."""
+    order = _AXIS_MAJOR[axis]
+    return t.reshape([shape[i] for i in order]).transpose(np.argsort(order))
+
+
 class LocalAttention:
     """Multi-head attention where each pixel attends over its k x k window.
 
@@ -140,17 +248,23 @@ class LocalAttention:
       absolute      sinusoidal position channels added to x before Q/K/V
       relative      logits are q.k + q.r with r indexed by window offset
       relative_only logits are q.r alone (no W_K is allocated)
-    Out-of-image window slots (window_validity) get a logit of -inf, so their
-    softmax weight is exactly zero and the in-image slots sum to one; a window
-    whose logits hold a +inf or NaN, or are all -inf, raises
-    DegenerateGroupError. Output keeps the input's spatial size.
+    Window slots outside the image get a logit of -inf, so their weight is
+    exactly zero and the in-image slots sum to one; a window whose logits
+    hold a +inf or NaN, or are all -inf, raises DegenerateGroupError. Output
+    keeps the input's spatial size.
 
-    No window of K or V is ever copied out. Q, K and V are C-contiguous
-    (n, heads, d_head, H, W) arrays; K and V are zero-padded once, and slot
-    u*k + v of every pixel's window is the window_slices slice [..., u:u+H,
-    v:v+W] of the padded array. Logits and weights are laid out (k*k, n, heads, H, W)
-    so the softmax reduces over the leading axis; ctx[4] views the weights as
-    (n, heads, H, W, k*k).
+    Every mode runs on tensorops.block_attention. Block rule, per axis: a
+    side of at most 2k is one block (the whole axis); a longer side is cut
+    into blocks of 4 queries, the last one padded. A block's queries attend
+    to a key window of min(4 + 2*(k//2), side) pixels per axis, clamped
+    inside the image, so no key is padding. Q is copied into query blocks
+    (n, heads, BH, BW, d_head, S) and K and V into key windows (..., d_head,
+    T); a whole image needs no copy. The bias added to the logits K^T Q is,
+    per axis, q_row . row_emb[offset] (relative modes) plus a mask that is
+    0 within k//2 of the query and -inf beyond; the row and column terms are
+    added in one broadcast. ctx keeps the input and the weights, (T, n,
+    heads, BH, BW, S); backward projects Q, K and V again. window_weights
+    reads the weights per pixel and slot.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, heads: int,
@@ -199,109 +313,134 @@ class LocalAttention:
             out["col_emb"] = self.col_emb
         return out
 
-    def _project(self, w: np.ndarray, x_in: np.ndarray) -> np.ndarray:
-        # (d_out, d_in) @ (n, d_in, H*W) is C-contiguous; einsum would return
-        # channels-last strides, which make every shifted slice read slow
+    def _transforms(self) -> list[tuple[str, np.ndarray]]:
+        return [(name, w) for name, w in (("W_Q", self.W_Q), ("W_K", self.W_K),
+                                          ("W_V", self.W_V)) if w is not None]
+
+    def _blocks(self, x_in: np.ndarray):
+        """The block tables of x_in's axes; Q in query blocks and K, V in key
+        windows (K None in relative_only mode)."""
         n, _, height, width = x_in.shape
-        return (w @ x_in.reshape(n, self.d_in, height * width)).reshape(
-            n, self.heads, self.d_head, height, width)
+        rows, cols = _axis_blocks(height, self.k), _axis_blocks(width, self.k)
+        w = np.concatenate([w for _, w in self._transforms()])
+        t = (w @ x_in.reshape(n, self.d_in, height * width)).reshape(
+            n, -1, self.heads, self.d_head, height, width)
+        kv = _key_windows(t[:, 1:], rows, cols)
+        key = kv[:, 0] if self.W_K is not None else None
+        return rows, cols, _to_blocks(t[:, 0], rows.b, cols.b), key, kv[:, -1]
 
-    def _offset_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
-        # slot (u, v) reads row_emb[(u-half) + k-1] and col_emb[(v-half) + k-1],
-        # which simplifies to index u+half since k-1 = 2*half for odd k
-        half = self.k // 2
-        return self.row_emb[half:half + self.k], self.col_emb[half:half + self.k]
+    def _bias(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks) -> np.ndarray:
+        """The logit bias, (T, n, heads, BH, BW, S), n and heads of size 1
+        without offset embeddings: the row term plus the column term."""
+        row, col = (self._offset_term(q, rows, cols, axis) for axis in (0, 1))
+        bias = np.empty(np.broadcast_shapes(row[:, None].shape, col[None].shape), dtype=q.dtype)
+        np.add(row[:, None], col[None], out=bias)
+        return bias.reshape((rows.span * cols.span,) + bias.shape[2:6] + (rows.b * cols.b,))
 
-    def _embedding_grad(self, d_offset: np.ndarray, q_part: np.ndarray) -> np.ndarray:
-        # d_offset (k, n, h, H, W) x q_part (n, h, d_head/2, H, W) -> (2k-1, d_head/2)
-        half = self.k // 2
-        d_table = np.zeros_like(self.row_emb)
-        d_table[half:half + self.k] = np.tensordot(
-            d_offset, q_part, axes=([1, 2, 3, 4], [0, 1, 3, 4]))
-        return d_table
+    def _offset_term(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, axis: int):
+        """The row (axis 0) or column term of the bias, (span, n, heads, BH,
+        BW, bh, bw): q_row . row_emb[offset] plus the 0/-inf window mask, or
+        the mask alone, broadcastable, when there are no offset embeddings."""
+        plan = (rows, cols)[axis]
+        mask = plan.mask.reshape((plan.span, 1, 1) + ((plan.blocks, 1, plan.b, 1) if axis == 0
+                                                      else (1, plan.blocks, 1, plan.b)))
+        mask = mask.astype(q.dtype)
+        if self.row_emb is None:
+            return mask
+        q_part = self._q_part(q, rows, cols, axis)
+        term = np.empty((plan.span,) + q_part.shape[1:], dtype=q.dtype)
+        by_axis = self._offset_table(axis, plan) @ _axis_major(q_part, axis)
+        np.add(_from_axis_major(by_axis, axis, term.shape), mask, out=term)
+        return term
+
+    def _offset_table(self, axis: int, plan: _AxisBlocks) -> np.ndarray:
+        """(B, b, span, d_head/2): the row (axis 0) or column embedding that
+        each window slot of each query along that axis reads."""
+        return (self.row_emb, self.col_emb)[axis][plan.emb_row]
+
+    def _q_part(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, axis: int):
+        """View of the half of q's channels that meets the row (axis 0) or
+        column offset embeddings, as (d_head/2, n, heads, BH, BW, bh, bw)."""
+        split = self.d_head // 2
+        part = q.reshape(q.shape[:-1] + (rows.b, cols.b))
+        return np.moveaxis(part[..., axis * split:(axis + 1) * split, :, :], -3, 0)
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 4 or x.shape[1] != self.d_in:
             raise DimensionError(f"expected (N, {self.d_in}, H, W), got {x.shape}")
         n, _, height, width = x.shape
-        k, half = self.k, self.k // 2
-
         x_in = x
         if self.encoding_mode == "absolute":
             x_in = x + absolute_position_signal(self.d_in, height, width)[None].astype(x.dtype)
 
-        q = self._project(self.W_Q, x_in)                          # (n, h, d, H, W)
-        v_pad = pad_hw(self._project(self.W_V, x_in), half)
-        logits = np.zeros((k * k, n, self.heads, height, width), dtype=q.dtype)
-        k_pad = None
-        if self.W_K is not None:
-            k_pad = pad_hw(self._project(self.W_K, x_in), half)
-            for u, v, at in window_slices(k, height, width):
-                np.einsum("nhdij,nhdij->nhij", q, k_pad[at], out=logits[u * k + v])
-        if self.row_emb is not None:
-            # q.[row_u; col_v] = q_row.row_u + q_col.col_v: 2k products, not k*k
-            rows, cols = self._offset_embeddings()
-            split = self.d_head // 2
-            grid = logits.reshape(k, k, n, self.heads, height, width)
-            grid += np.tensordot(rows, q[:, :, :split], axes=(1, 2))[:, None]
-            grid += np.tensordot(cols, q[:, :, split:], axes=(1, 2))[None]
+        rows, cols, q, key, v = self._blocks(x_in)
+        y, attn = block_attention(q, key, v, self._bias(q, rows, cols))
+        out = np.empty((n, self.heads, self.d_head, height, width), dtype=y.dtype)
+        _from_blocks(y, rows.b, cols.b, out)
+        return out.reshape(n, self.d_out, height, width), (x_in, attn)
 
-        valid = np.moveaxis(window_validity(height, width, k), -1, 0)[:, None, None]
-        np.copyto(logits, -np.inf, where=~valid)
-        attn = softmax_axis(logits, 0)
-
-        y = np.zeros_like(q)
-        for u, v, at in window_slices(k, height, width):
-            y += attn[u * k + v][:, :, None] * v_pad[at]
-        return (y.reshape(n, self.d_out, height, width),
-                (x_in, q, k_pad, v_pad, np.moveaxis(attn, 0, -1)))
+    def window_weights(self, ctx) -> np.ndarray:
+        """The saved weights as (n, heads, H, W, k*k): slot u*k + v holds the
+        pixel at offset (u - k//2, v - k//2); out-of-image slots are 0."""
+        x_in, attn = ctx
+        n, _, height, width = x_in.shape
+        rows, cols = _axis_blocks(height, self.k), _axis_blocks(width, self.k)
+        index = []
+        for side, plan in ((height, rows), (width, cols)):
+            pixel = np.arange(side)
+            block = pixel // plan.b
+            # window slot of the key at offset u - k//2 (clipped where that is off the image)
+            slot = pixel + np.arange(self.k)[:, None] - self.k // 2 - plan.start[block]
+            index.append((np.clip(slot, 0, plan.span - 1), block, pixel % plan.b))
+        (tr, bi, si), (tc, bj, sj) = index
+        grid = attn.reshape((rows.span, cols.span, n, self.heads, rows.blocks, cols.blocks,
+                             rows.b, cols.b))
+        w = grid[tr[:, None, :, None], tc[None, :, None, :], :, :,
+                 bi[:, None], bj, si[:, None], sj]                      # (k, k, H, W, n, heads)
+        w = w.transpose(4, 5, 2, 3, 0, 1).reshape(n, self.heads, height, width, -1)
+        return np.where(window_validity(height, width, self.k), w, 0.0)
 
     def backward(self, dy: np.ndarray, ctx):
-        x_in, q, k_pad, v_pad, attn = ctx
-        attn = np.moveaxis(attn, -1, 0)                            # (k*k, n, h, H, W)
+        x_in, attn = ctx
         n, _, height, width = x_in.shape
-        k, half = self.k, self.k // 2
-        dy_h = dy.reshape(q.shape)
-
-        d_attn = np.empty_like(attn)
-        dv_pad = np.zeros_like(v_pad)
-        for u, v, at in window_slices(k, height, width):
-            np.einsum("nhdij,nhdij->nhij", dy_h, v_pad[at], out=d_attn[u * k + v])
-            dv_pad[at] += attn[u * k + v][:, :, None] * dy_h
-        dlogits = softmax_vjp(attn, d_attn, axis=0)    # out-of-image slots: attn == 0, so 0
+        rows, cols, q, key, v = self._blocks(x_in)
+        y = v @ np.moveaxis(attn, 0, -2)
+        dyb = _to_blocks(dy.reshape(n, self.heads, self.d_head, height, width), rows.b, cols.b)
+        dq, dk, dv, dlogits = block_attention_vjp(q, key, v, attn, y, dyb)
 
         grads: dict[str, np.ndarray] = {}
-        dq = np.zeros_like(q)
-        if k_pad is not None:
-            dk_pad = np.zeros_like(k_pad)
-            for u, v, at in window_slices(k, height, width):
-                g = dlogits[u * k + v][:, :, None]
-                dq += g * k_pad[at]
-                dk_pad[at] += g * q
+        if dq is None:
+            dq = np.zeros_like(dyb)
         if self.row_emb is not None:
-            rows, cols = self._offset_embeddings()
-            split = self.d_head // 2
-            grid = dlogits.reshape(k, k, n, self.heads, height, width)
-            d_rows, d_cols = grid.sum(axis=1), grid.sum(axis=0)    # (k, n, h, H, W)
-            dq[:, :, :split] += np.moveaxis(np.tensordot(rows, d_rows, axes=(0, 0)), 0, 2)
-            dq[:, :, split:] += np.moveaxis(np.tensordot(cols, d_cols, axes=(0, 0)), 0, 2)
-            grads["row_emb"] = self._embedding_grad(d_rows, q[:, :, :split])
-            grads["col_emb"] = self._embedding_grad(d_cols, q[:, :, split:])
+            grid = dlogits.reshape((rows.span, cols.span) + dlogits.shape[1:-1]
+                                   + (rows.b, cols.b))
+            for axis, (plan, name) in enumerate(((rows, "row_emb"), (cols, "col_emb"))):
+                d_term = _axis_major(grid.sum(axis=1 - axis), axis)      # (B, b, span, M)
+                table = self._offset_table(axis, plan)
+                d_part = self._q_part(dq, rows, cols, axis)
+                d_part += _from_axis_major(np.swapaxes(table, -2, -1) @ d_term, axis,
+                                           d_part.shape)
+                q_part = _axis_major(self._q_part(q, rows, cols, axis), axis)
+                # masked slots have a zero logit cotangent, so the rows they
+                # were clipped to receive nothing from them
+                grads[name] = np.zeros_like(getattr(self, name))
+                np.add.at(grads[name], plan.emb_row, d_term @ np.swapaxes(q_part, -2, -1))
 
-        def unpad(t_pad):
-            return t_pad[..., half:half + height, half:half + width]
-
-        per_weight = [("W_Q", self.W_Q, dq), ("W_V", self.W_V, unpad(dv_pad))]
-        if k_pad is not None:
-            per_weight.append(("W_K", self.W_K, unpad(dk_pad)))
+        transforms = self._transforms()
+        d_t = np.empty((n, len(transforms), self.heads, self.d_head, height, width),
+                       dtype=dq.dtype)
+        _from_blocks(dq, rows.b, cols.b, d_t[:, 0])
+        if dk is not None:
+            _scatter_windows(dk, rows, cols, d_t[:, 1])
+        _scatter_windows(dv, rows, cols, d_t[:, -1])
+        d_flat = d_t.reshape(n, -1, height * width)
         x_flat = x_in.reshape(n, self.d_in, height * width)
-        dx_in = 0
-        for name, w, d_t in per_weight:
-            d_flat = d_t.reshape(n, self.d_out, height * width)
-            dx_in = dx_in + w.T @ d_flat
-            grads[name] = np.tensordot(d_flat, x_flat, axes=([0, 2], [0, 2]))
+        d_w = np.tensordot(d_flat, x_flat, axes=([0, 2], [0, 2]))
+        for i, (name, w) in enumerate(transforms):
+            grads[name] = d_w[i * self.d_out:(i + 1) * self.d_out]
+        dx = np.concatenate([w for _, w in transforms]).T @ d_flat
         # the absolute-mode position signal is a constant, so dx = dx_in
-        return dx_in.reshape(x_in.shape), grads
+        return dx.reshape(x_in.shape), grads
 
 
 def _channel_sums(t: np.ndarray) -> np.ndarray:
@@ -395,18 +534,15 @@ class AttentionStem:
     The mixture weight p(a,b,m) = softmax_m((emb_row[a] + emb_col[b]) . nu[m])
     is shared across heads and across blocks.
 
-    The attention runs in one block layout. The d_in-channel input is copied
-    once to (n, hb, wb, d_in, 16), slot a*4 + b holding block position (a, b),
-    and Q, K and V are projected from it straight into (n, hb, wb, heads,
-    d_head, 16). Logits are K^T Q with the key-slot axis t leading, (t, n, hb,
-    wb, heads, s) for query slot s, so the softmax reduces over axis 0 and
-    the block output y = V @ attn reads the weights through a (..., t, s)
-    view. Only y goes back to NCHW, for the `norm` and `pool` children. ctx
-    keeps the block input, the weights and y. Backward projects Q, K and V
-    again, which an image's few input channels make cheaper than keeping
-    them, and takes the softmax VJP's inner sum over key slots,
-    sum_t attn * d_attn, as sum_d dy * y over d_head (the FlashAttention
-    row-sum identity).
+    The attention is tensorops.block_attention with no bias: each 4x4 block
+    is one query block and its own key window. The d_in-channel input is
+    copied once to (n, hb, wb, d_in, 16), slot a*4 + b holding block
+    position (a, b), and Q, K and V are projected from it straight into (n,
+    hb, wb, heads, d_head, 16); the weights are (t, n, hb, wb, heads, s) for
+    key slot t and query slot s. Only the block output y goes back to NCHW,
+    for the `norm` and `pool` children. ctx keeps the block input, the
+    weights and y. Backward projects Q, K and V again, which an image's few
+    input channels make cheaper than keeping them.
     """
 
     WINDOW = 4
@@ -450,22 +586,6 @@ class AttentionStem:
         logits = np.einsum("abe,me->abm", combined, self.nu, optimize=True)
         return softmax_axis(logits, -1)
 
-    def _to_blocks(self, t: np.ndarray) -> np.ndarray:
-        """(n, C, H, W) -> C-contiguous (n, hb, wb, C, win*win): each block's
-        pixels at slot a*win + b for block position (a, b)."""
-        n, c, height, width = t.shape
-        win, hb, wb = self.WINDOW, height // self.WINDOW, width // self.WINDOW
-        tb = t.reshape(n, c, hb, win, wb, win).transpose(0, 2, 4, 1, 3, 5)
-        return np.ascontiguousarray(tb).reshape(n, hb, wb, c, win * win)
-
-    def _from_blocks(self, tb: np.ndarray) -> np.ndarray:
-        """Inverse of _to_blocks, for any (n, hb, wb, ..., win*win) array whose
-        middle axes flatten to the channels: a C-contiguous (n, C, H, W) array."""
-        n, hb, wb = tb.shape[:3]
-        win = self.WINDOW
-        t = tb.reshape(n, hb, wb, -1, win, win).transpose(0, 3, 1, 4, 2, 5)
-        return np.ascontiguousarray(t).reshape(n, -1, hb * win, wb * win)
-
     def _project(self, xb: np.ndarray, w_mixed: np.ndarray):
         """Q, K and V of a block-layout input, each (n, hb, wb, heads, d_head,
         win*win). Every output costs d_in multiply-adds, so for an image
@@ -488,14 +608,12 @@ class AttentionStem:
         w_mixed = np.einsum("abm,moi->aboi", p, self.W_V, optimize=True).reshape(
             win * win, self.d_out, self.d_in)                               # (slot, out, in)
 
-        xb = self._to_blocks(x)                                             # (n, hb, wb, in, s)
-        q, key, v = self._project(xb, w_mixed)
-        logits = np.empty((win * win,) + q.shape[:-2] + (win * win,), dtype=q.dtype)
-        np.matmul(np.swapaxes(key, -2, -1), q, out=np.moveaxis(logits, 0, -2))
-        attn = softmax_axis(logits, 0)                                      # (t, ..., s)
-        yb = v @ np.moveaxis(attn, 0, -2)                                   # (..., d_head, s)
+        xb = _to_blocks(x, win, win)                                        # (n, hb, wb, in, s)
+        yb, attn = block_attention(*self._project(xb, w_mixed))
 
-        normed, bn_ctx = self.norm.forward(self._from_blocks(yb), training)
+        attended = np.empty((x.shape[0], self.d_out, height, width), dtype=yb.dtype)
+        _from_blocks(yb.reshape(yb.shape[:3] + (self.d_out, -1)), win, win, attended)
+        normed, bn_ctx = self.norm.forward(attended, training)
         y, pool_ctx = self.pool.forward(normed, training)
         return y, (xb, p, w_mixed, attn, yb, bn_ctx, pool_ctx)
 
@@ -505,18 +623,8 @@ class AttentionStem:
         d_attended, bn_grads = self.norm.backward(d_normed, bn_ctx)
         q, key, v = self._project(xb, w_mixed)
 
-        dyb = self._to_blocks(d_attended).reshape(yb.shape)
-        attn_ts = np.moveaxis(attn, 0, -2)                                  # (..., t, s)
-        dv = dyb @ np.swapaxes(attn_ts, -2, -1)
-        # softmax VJP over the key slots t: attn * (d_attn - sum_t attn * d_attn),
-        # and sum_t attn[t, s] * (v^T dy)[t, s] = sum_d dy[d, s] * y[d, s]
-        dlogits = np.empty_like(attn)
-        dl_ts = np.moveaxis(dlogits, 0, -2)
-        np.matmul(np.swapaxes(v, -2, -1), dyb, out=dl_ts)
-        dlogits -= np.einsum("...ds,...ds->...s", dyb, yb)
-        dlogits *= attn
-        dq = key @ dl_ts
-        dk = q @ np.swapaxes(dl_ts, -2, -1)
+        dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW).reshape(yb.shape)
+        dq, dk, dv, _ = block_attention_vjp(q, key, v, attn, yb, dyb)
 
         slots = xb.shape[-1]
         x_flat = xb.reshape(-1, self.d_in, slots)                          # (blocks, in, s)
@@ -527,7 +635,9 @@ class AttentionStem:
         grads["W_K"] = (dk @ x_t).sum(axis=0)
         dxb = self.W_Q.T @ dq + self.W_K.T @ dk
         dxb += np.einsum("soi,nos->nis", w_mixed, dv, optimize=True)
-        dx = self._from_blocks(dxb.reshape(xb.shape))
+        n, hb, wb = xb.shape[:3]
+        dx = np.empty((n, self.d_in, hb * self.WINDOW, wb * self.WINDOW), dtype=dxb.dtype)
+        _from_blocks(dxb.reshape(xb.shape), self.WINDOW, self.WINDOW, dx)
 
         d_wmixed = np.einsum("nos,nis->soi", dv, x_flat, optimize=True).reshape(
             self.WINDOW, self.WINDOW, self.d_out, self.d_in)

@@ -1,4 +1,5 @@
-"""Dense-array substrate: softmax, the k x k window slot map, validity masks.
+"""Dense-array substrate: softmax, blocked attention, the k x k window slot
+map, validity masks.
 
 Values are plain numpy arrays, interpreted as (batch, channels, height, width)
 when rank 4. Everything here is a pure function of its inputs; float64 is used
@@ -44,11 +45,50 @@ def softmax_vjp(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarray:
     return dp
 
 
+def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=None):
+    """Attention of each block's S queries over its T keys, as batched GEMMs.
+
+    q is (..., d, S) and k, v are (..., d, T), the leading axes indexing
+    blocks (and heads). The logits are K^T Q plus `bias`, which broadcasts to
+    them; a k of None leaves the bias alone, and a -inf bias masks a slot
+    out. They are stored key slot first, (T, ..., S), so the softmax reduces
+    over axis 0. Returns y = V @ attn, (..., d, S), and attn, (T, ..., S).
+    """
+    shape = (v.shape[-1],) + q.shape[:-2] + q.shape[-1:]
+    if k is None:
+        logits = np.zeros(shape, dtype=q.dtype)
+    else:
+        logits = np.empty(shape, dtype=q.dtype)
+        np.matmul(np.swapaxes(k, -2, -1), q, out=np.moveaxis(logits, 0, -2))
+    if bias is not None:
+        logits += bias
+    attn = softmax_axis(logits, 0)
+    return v @ np.moveaxis(attn, 0, -2), attn
+
+
+def block_attention_vjp(q, k, v, attn, y, dy):
+    """Cotangents (dq, dk, dv, dlogits) of block_attention given y and its
+    cotangent dy, both (..., d, S); dq and dk are None when k is. The softmax
+    VJP's inner sum over key slots, sum_t attn * (V^T dy), is taken as
+    sum_d dy * y (the FlashAttention row-sum identity). Masked slots have
+    attn == 0 and get a zero logit cotangent."""
+    attn_ts = np.moveaxis(attn, 0, -2)                                 # (..., T, S)
+    dv = dy @ np.swapaxes(attn_ts, -2, -1)
+    dlogits = np.empty_like(attn)
+    dl_ts = np.moveaxis(dlogits, 0, -2)
+    np.matmul(np.swapaxes(v, -2, -1), dy, out=dl_ts)
+    dlogits -= np.einsum("...ds,...ds->...s", dy, y)
+    dlogits *= attn
+    if k is None:
+        return None, None, dv, dlogits
+    return k @ dl_ts, q @ np.swapaxes(dl_ts, -2, -1), dv, dlogits
+
+
 def window_slices(k: int, h_out: int, w_out: int, stride: int = 1):
     """Yield (u, v, index) for each slot of a k x k window, row-major. index
     selects the (..., H', W') slice of a padded array that slot (u, v) of
     every output center reads, centers `stride` apart: the one slot map that
-    convolution, local attention and pooling share."""
+    convolution and pooling share."""
     for u in range(k):
         for v in range(k):
             yield u, v, (Ellipsis, slice(u, u + stride * h_out, stride),

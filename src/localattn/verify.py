@@ -82,7 +82,7 @@ def _attention_output(layer: LocalAttention, x: np.ndarray) -> np.ndarray:
 def _attention_weights(layer: LocalAttention, x: np.ndarray) -> np.ndarray:
     """(N, heads, H, W, k*k) softmax weights from a forward pass."""
     _, ctx = layer.forward(x, training=False)
-    return ctx[4]
+    return layer.window_weights(ctx)
 
 
 def oracle_suite(seed: int = 0) -> SuiteResult:

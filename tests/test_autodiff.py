@@ -117,7 +117,7 @@ class TestGradcheck:
                                rng=np.random.default_rng(9), dtype=np.float64)
         x = np.random.default_rng(10).standard_normal((1, 4, 3, 3))
         y, ctx = layer.forward(x)
-        attn = ctx[4]
+        attn = layer.window_weights(ctx)
         from localattn.tensorops import window_validity
         invalid = ~window_validity(3, 3, 3).reshape(1, 1, 3, 3, 9)
         assert np.all(attn[np.broadcast_to(invalid, attn.shape)] == 0.0)

@@ -25,7 +25,9 @@ from localattn.layers import (
 MODES = ("none", "absolute", "relative", "relative_only")
 
 # (batch, H, W, k, heads): a 5x5 image with batch 1, then images smaller than
-# the window, H != W, a single pixel, a single head and k = 1
+# the window, H != W, a single pixel, a single head and k = 1; then sides
+# longer than 2k, which are cut into query blocks: both axes blocked with a
+# padded last block, one axis blocked and the other whole, and k = 1 blocked
 SHAPES = {
     "5x5": (1, 5, 5, 3, 2),
     "2x2-k7": (2, 2, 2, 7, 2),
@@ -34,6 +36,9 @@ SHAPES = {
     "1x1": (2, 1, 1, 3, 2),
     "heads1": (2, 4, 4, 3, 1),
     "k1": (2, 4, 4, 1, 2),
+    "17x15-k7": (1, 17, 15, 7, 2),
+    "3x13-k5": (2, 3, 13, 5, 2),
+    "6x5-k1": (2, 6, 5, 1, 2),
 }
 # the 5x5 cases keep the bare mode as their id
 SHAPE_CASES = [pytest.param(shape, mode,
@@ -182,7 +187,7 @@ class TestLocalAttention:
         layer = _attn("relative", k=5, heads=2, d_in=4, d_out=8)
         x = np.random.default_rng(9).standard_normal((2, 4, 6, 6))
         _, ctx = layer.forward(x)
-        attn = ctx[4]
+        attn = layer.window_weights(ctx)
         np.testing.assert_allclose(attn.sum(-1), 1.0, atol=1e-6)
         assert np.all(attn >= 0.0)
 
@@ -263,13 +268,13 @@ class TestLocalAttention:
         np.testing.assert_allclose(y1, y2, atol=1e-12)
 
     def test_saved_context_holds_no_window_copies(self):
-        # padded K/V and one weight per slot, not k*k-sized copies of K and V
+        # the input and the block weights, not k*k-sized copies of K and V
         layer = LocalAttention(64, 64, k=7, heads=8, encoding_mode="relative",
                                rng=np.random.default_rng(19))
         x = np.random.default_rng(20).standard_normal((1, 64, 56, 56)).astype(np.float32)
         _, ctx = layer.forward(x, training=True)
         assert _owned_bytes(ctx) < 12 * 2 ** 20
-        attn = ctx[4]
+        attn = layer.window_weights(ctx)
         assert attn.shape == (1, 8, 56, 56, 49)
         np.testing.assert_allclose(attn.sum(-1), 1.0, atol=1e-5)
 

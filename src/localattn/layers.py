@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, PaddingError, UnsupportedExtentError
 from .tensorops import (block_attention, block_attention_vjp, pad_hw, softmax_axis, softmax_vjp,
-                        window_slices, window_validity)
+                        untile, window_slices, window_validity)
 
 MODES = ("none", "absolute", "relative", "relative_only")
 
@@ -195,13 +195,14 @@ def _from_blocks(tb: np.ndarray, bh: int, bw: int, out: np.ndarray):
 
 def _key_windows(t: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks) -> np.ndarray:
     """(..., d, H, W) -> (..., BH, BW, d, span_h*span_w): each block's key
-    window. A whole image is a view."""
-    windows = np.lib.stride_tricks.sliding_window_view(
-        t, (rows.span, cols.span), axis=(-2, -1))
-    if rows.blocks * cols.blocks > 1:
-        windows = windows[..., rows.start[:, None], cols.start, :, :]
-    windows = windows.reshape(windows.shape[:-2] + (-1,))
-    return np.moveaxis(windows, -4, -2)
+    window, copied block by block into one item-contiguous array, so that
+    block_attention flattens its leading axes into items without a copy."""
+    out = np.empty(t.shape[:-3] + (rows.blocks, cols.blocks, t.shape[-3], rows.span, cols.span),
+                   dtype=t.dtype)
+    for i, r in enumerate(rows.start):
+        for j, c in enumerate(cols.start):
+            out[..., i, j, :, :, :] = t[..., r:r + rows.span, c:c + cols.span]
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def _scatter_windows(tw: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, out: np.ndarray):
@@ -258,13 +259,17 @@ class LocalAttention:
     into blocks of 4 queries, the last one padded. A block's queries attend
     to a key window of min(4 + 2*(k//2), side) pixels per axis, clamped
     inside the image, so no key is padding. Q is copied into query blocks
-    (n, heads, BH, BW, d_head, S) and K and V into key windows (..., d_head,
-    T); a whole image needs no copy. The bias added to the logits K^T Q is,
-    per axis, q_row . row_emb[offset] (relative modes) plus a mask that is
-    0 within k//2 of the query and -inf beyond; the row and column terms are
-    added in one broadcast. ctx keeps the input and the weights, (T, n,
-    heads, BH, BW, S); backward projects Q, K and V again. window_weights
-    reads the weights per pixel and slot.
+    (n, heads, BH, BW, d_head, S), a view for a whole image, and K and V
+    each into one item-contiguous array of key windows (..., d_head, T). The
+    bias added to the logits K^T Q is, per axis, q_row . row_emb[offset]
+    (relative modes) plus a mask that is 0 within k//2 of the query and
+    -inf beyond; the row and column terms, (span, L, S) each for the L =
+    n*heads*BH*BW items, are kept apart and added together into each tile
+    of block_attention, so no logits-sized bias exists. ctx keeps the input
+    and block_attention's tile-major weights; backward projects Q, K and V
+    again and takes the embedding gradients from each tile's per-axis sums
+    of the logit cotangent. window_weights reads the weights per pixel and
+    slot.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, heads: int,
@@ -325,33 +330,38 @@ class LocalAttention:
         w = np.concatenate([w for _, w in self._transforms()])
         t = (w @ x_in.reshape(n, self.d_in, height * width)).reshape(
             n, -1, self.heads, self.d_head, height, width)
-        kv = _key_windows(t[:, 1:], rows, cols)
-        key = kv[:, 0] if self.W_K is not None else None
-        return rows, cols, _to_blocks(t[:, 0], rows.b, cols.b), key, kv[:, -1]
+        key = _key_windows(t[:, 1], rows, cols) if self.W_K is not None else None
+        value = _key_windows(t[:, -1], rows, cols)
+        return rows, cols, _to_blocks(t[:, 0], rows.b, cols.b), key, value
 
-    def _bias(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks) -> np.ndarray:
-        """The logit bias, (T, n, heads, BH, BW, S), n and heads of size 1
-        without offset embeddings: the row term plus the column term."""
+    def _bias(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks):
+        """The logit bias as block_attention takes it: items lo:hi of the row
+        term plus the column term, (T, hi - lo, S). Only the two terms, each
+        1/span of the logits, are held in full."""
         row, col = (self._offset_term(q, rows, cols, axis) for axis in (0, 1))
-        bias = np.empty(np.broadcast_shapes(row[:, None].shape, col[None].shape), dtype=q.dtype)
-        np.add(row[:, None], col[None], out=bias)
-        return bias.reshape((rows.span * cols.span,) + bias.shape[2:6] + (rows.b * cols.b,))
+
+        def bias(lo: int, hi: int) -> np.ndarray:
+            tile = np.add(row[:, None, lo:hi], col[None, :, lo:hi])
+            return tile.reshape((rows.span * cols.span,) + tile.shape[2:])
+        return bias
 
     def _offset_term(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, axis: int):
-        """The row (axis 0) or column term of the bias, (span, n, heads, BH,
-        BW, bh, bw): q_row . row_emb[offset] plus the 0/-inf window mask, or
-        the mask alone, broadcastable, when there are no offset embeddings."""
+        """The row (axis 0) or column term of the bias, (span, L, S) for the
+        L = n*heads*BH*BW items of q: q_row . row_emb[offset] plus the 0/-inf
+        window mask, or the mask alone when there are no offset embeddings."""
         plan = (rows, cols)[axis]
         mask = plan.mask.reshape((plan.span, 1, 1) + ((plan.blocks, 1, plan.b, 1) if axis == 0
                                                       else (1, plan.blocks, 1, plan.b)))
         mask = mask.astype(q.dtype)
+        shape = (plan.span,) + q.shape[:-2] + (rows.b, cols.b)
         if self.row_emb is None:
-            return mask
-        q_part = self._q_part(q, rows, cols, axis)
-        term = np.empty((plan.span,) + q_part.shape[1:], dtype=q.dtype)
-        by_axis = self._offset_table(axis, plan) @ _axis_major(q_part, axis)
-        np.add(_from_axis_major(by_axis, axis, term.shape), mask, out=term)
-        return term
+            term = np.broadcast_to(mask, shape)
+        else:
+            q_part = self._q_part(q, rows, cols, axis)
+            term = np.empty(shape, dtype=q.dtype)
+            by_axis = self._offset_table(axis, plan) @ _axis_major(q_part, axis)
+            np.add(_from_axis_major(by_axis, axis, term.shape), mask, out=term)
+        return term.reshape(plan.span, -1, rows.b * cols.b)
 
     def _offset_table(self, axis: int, plan: _AxisBlocks) -> np.ndarray:
         """(B, b, span, d_head/2): the row (axis 0) or column embedding that
@@ -385,6 +395,7 @@ class LocalAttention:
         x_in, attn = ctx
         n, _, height, width = x_in.shape
         rows, cols = _axis_blocks(height, self.k), _axis_blocks(width, self.k)
+        attn = untile(attn, rows.span * cols.span, rows.b * cols.b)
         index = []
         for side, plan in ((height, rows), (width, cols)):
             pixel = np.arange(side)
@@ -404,18 +415,28 @@ class LocalAttention:
         x_in, attn = ctx
         n, _, height, width = x_in.shape
         rows, cols, q, key, v = self._blocks(x_in)
-        y = v @ np.moveaxis(attn, 0, -2)
         dyb = _to_blocks(dy.reshape(n, self.heads, self.d_head, height, width), rows.b, cols.b)
-        dq, dk, dv, dlogits = block_attention_vjp(q, key, v, attn, y, dyb)
+        on_tile = None
+        if self.row_emb is not None:
+            # the cotangents of the row and the column term, (span, n, heads,
+            # BH, BW, bh, bw): each tile's logit cotangent summed over its
+            # windows' column slots and over their row slots
+            sums = [np.empty((plan.span,) + q.shape[:-2] + (rows.b, cols.b), dtype=q.dtype)
+                    for plan in (rows, cols)]
+
+            def on_tile(lo, hi, g):
+                grid = g.reshape(rows.span, cols.span, hi - lo, -1)
+                for axis, total in enumerate(sums):
+                    items = total.reshape(total.shape[0], -1, grid.shape[-1])
+                    grid.sum(axis=1 - axis, out=items[:, lo:hi])
+        dq, dk, dv = block_attention_vjp(q, key, v, attn, None, dyb, on_tile)
 
         grads: dict[str, np.ndarray] = {}
         if dq is None:
             dq = np.zeros_like(dyb)
         if self.row_emb is not None:
-            grid = dlogits.reshape((rows.span, cols.span) + dlogits.shape[1:-1]
-                                   + (rows.b, cols.b))
             for axis, (plan, name) in enumerate(((rows, "row_emb"), (cols, "col_emb"))):
-                d_term = _axis_major(grid.sum(axis=1 - axis), axis)      # (B, b, span, M)
+                d_term = _axis_major(sums[axis], axis)                     # (B, b, span, M)
                 table = self._offset_table(axis, plan)
                 d_part = self._q_part(dq, rows, cols, axis)
                 d_part += _from_axis_major(np.swapaxes(table, -2, -1) @ d_term, axis,
@@ -538,11 +559,12 @@ class AttentionStem:
     is one query block and its own key window. The d_in-channel input is
     copied once to (n, hb, wb, d_in, 16), slot a*4 + b holding block
     position (a, b), and Q, K and V are projected from it straight into (n,
-    hb, wb, heads, d_head, 16); the weights are (t, n, hb, wb, heads, s) for
-    key slot t and query slot s. Only the block output y goes back to NCHW,
-    for the `norm` and `pool` children. ctx keeps the block input, the
-    weights and y. Backward projects Q, K and V again, which an image's few
-    input channels make cheaper than keeping them.
+    hb, wb, heads, d_head, 16); the weights are block_attention's tile-major
+    buffer over the n*hb*wb*heads items, 16 key slots by 16 query slots
+    each. Only the block output y goes back to NCHW, for the `norm` and
+    `pool` children. ctx keeps the block input, the weights and y. Backward
+    projects Q, K and V again, which an image's few input channels make
+    cheaper than keeping them.
     """
 
     WINDOW = 4
@@ -624,7 +646,7 @@ class AttentionStem:
         q, key, v = self._project(xb, w_mixed)
 
         dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW).reshape(yb.shape)
-        dq, dk, dv, _ = block_attention_vjp(q, key, v, attn, yb, dyb)
+        dq, dk, dv = block_attention_vjp(q, key, v, attn, yb, dyb)
 
         slots = xb.shape[-1]
         x_flat = xb.reshape(-1, self.d_in, slots)                          # (blocks, in, s)

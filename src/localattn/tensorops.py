@@ -1,9 +1,16 @@
-"""Dense-array substrate: softmax, blocked attention, the k x k window slot
-map, validity masks.
+"""Dense-array substrate: softmax, tiled blocked attention, the k x k window
+slot map, validity masks.
 
 Values are plain numpy arrays, interpreted as (batch, channels, height, width)
 when rank 4. Everything here is a pure function of its inputs; float64 is used
 on verification paths and float32 is accepted for training paths.
+
+block_attention works tile by tile over its flattened item axis (blocks x
+heads, batch in front): a tile is as many consecutive items as keep its
+logits within TILE_BYTES, so a tile's logits, softmax and GEMMs stay in L2
+and no logits-sized temporary is allocated. The saved weights are one flat
+tile-major buffer: tile i, items lo:hi, is the contiguous (T, hi - lo, S)
+block at offset lo*T*S, key slot first so the softmax reduces over axis 0.
 """
 
 from __future__ import annotations
@@ -12,9 +19,12 @@ import numpy as np
 
 from .errors import DegenerateGroupError, DimensionError, UnsupportedExtentError
 
+TILE_BYTES = 256 * 1024    # logits bytes per tile of block_attention
 
-def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:
-    """Numerically stabilized softmax along `axis`.
+
+def softmax_axis(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stabilized softmax along `axis`, into `out` if given (which
+    may be x itself).
 
     A slot is masked out by a logit of -inf: its weight is exactly zero and
     the group's other slots sum to one. A group whose max is not finite (a
@@ -29,7 +39,7 @@ def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:
         raise DegenerateGroupError(
             f"softmax group has non-finite logits: a +inf or NaN logit, or every "
             f"logit -inf, in {int(degenerate.sum())} group(s)")
-    e = np.subtract(x, m, dtype=np.result_type(x, 0.0))    # integer logits give float64
+    e = np.subtract(x, m, out=out, dtype=np.result_type(x, 0.0))    # integer logits give float64
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
@@ -45,43 +55,108 @@ def softmax_vjp(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarray:
     return dp
 
 
+def _items(t: np.ndarray) -> np.ndarray:
+    """(..., a, b) -> (L, a, b): the leading axes flattened into one item
+    axis, a view when t is item-contiguous."""
+    return t.reshape((-1,) + t.shape[-2:])
+
+
+def _tiles(items: int, slots: int, queries: int, itemsize: int):
+    """(lo, hi) item ranges of the consecutive tiles: max(1, TILE_BYTES //
+    (slots * queries * itemsize)) items each, the last one possibly partial."""
+    c = max(1, TILE_BYTES // (slots * queries * itemsize))
+    return [(lo, min(lo + c, items)) for lo in range(0, items, c)]
+
+
+def _tile(buf: np.ndarray, lo: int, hi: int, slots: int, queries: int) -> np.ndarray:
+    """(T, hi - lo, S) view of the tile of items lo:hi in a flat tile-major
+    buffer."""
+    return buf[lo * slots * queries:hi * slots * queries].reshape(slots, hi - lo, queries)
+
+
+def untile(attn: np.ndarray, slots: int, queries: int) -> np.ndarray:
+    """block_attention's tile-major weights as one (T, L, S) array."""
+    items = attn.size // (slots * queries)
+    out = np.empty((slots, items, queries), dtype=attn.dtype)
+    for lo, hi in _tiles(items, slots, queries, attn.itemsize):
+        out[:, lo:hi] = _tile(attn, lo, hi, slots, queries)
+    return out
+
+
 def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=None):
-    """Attention of each block's S queries over its T keys, as batched GEMMs.
+    """Attention of each block's S queries over its T keys, tile by tile.
 
     q is (..., d, S) and k, v are (..., d, T), the leading axes indexing
-    blocks (and heads). The logits are K^T Q plus `bias`, which broadcasts to
-    them; a k of None leaves the bias alone, and a -inf bias masks a slot
-    out. They are stored key slot first, (T, ..., S), so the softmax reduces
-    over axis 0. Returns y = V @ attn, (..., d, S), and attn, (T, ..., S).
+    items (blocks and heads, batch in front); they are flattened into L items
+    (a copy unless the array is item-contiguous). The logits are K^T Q plus
+    the bias; a k of None leaves the bias alone, and a -inf bias masks a slot
+    out. `bias(lo, hi)` returns the bias of items lo:hi, broadcastable to
+    (T, hi - lo, S). Per tile the logits are written key slot first into the
+    tile's block of the weights buffer, the bias is added, the softmax is
+    taken over axis 0 in place and V @ attn is written into the tile's rows
+    of y. Returns y, (..., d_v, S), and the weights as a flat tile-major
+    buffer of L*T*S elements (see the module docstring).
     """
-    shape = (v.shape[-1],) + q.shape[:-2] + q.shape[-1:]
-    if k is None:
-        logits = np.zeros(shape, dtype=q.dtype)
-    else:
-        logits = np.empty(shape, dtype=q.dtype)
-        np.matmul(np.swapaxes(k, -2, -1), q, out=np.moveaxis(logits, 0, -2))
-    if bias is not None:
-        logits += bias
-    attn = softmax_axis(logits, 0)
-    return v @ np.moveaxis(attn, 0, -2), attn
+    qf, vf = _items(q), _items(v)
+    kf = None if k is None else _items(k)
+    items, slots, queries = qf.shape[0], vf.shape[-1], qf.shape[-1]
+    attn = np.empty(items * slots * queries, dtype=q.dtype)
+    y = np.empty((items, vf.shape[-2], queries), dtype=np.result_type(vf, attn))
+    for lo, hi in _tiles(items, slots, queries, attn.itemsize):
+        tile = _tile(attn, lo, hi, slots, queries)
+        if kf is None:
+            tile[...] = 0.0
+        else:
+            np.matmul(np.swapaxes(kf[lo:hi], -2, -1), qf[lo:hi], out=np.moveaxis(tile, 0, -2))
+        if bias is not None:
+            tile += bias(lo, hi)
+        softmax_axis(tile, 0, out=tile)
+        np.matmul(vf[lo:hi], np.moveaxis(tile, 0, -2), out=y[lo:hi])
+    return y.reshape(v.shape[:-1] + (queries,)), attn
 
 
-def block_attention_vjp(q, k, v, attn, y, dy):
-    """Cotangents (dq, dk, dv, dlogits) of block_attention given y and its
-    cotangent dy, both (..., d, S); dq and dk are None when k is. The softmax
-    VJP's inner sum over key slots, sum_t attn * (V^T dy), is taken as
-    sum_d dy * y (the FlashAttention row-sum identity). Masked slots have
-    attn == 0 and get a zero logit cotangent."""
-    attn_ts = np.moveaxis(attn, 0, -2)                                 # (..., T, S)
-    dv = dy @ np.swapaxes(attn_ts, -2, -1)
-    dlogits = np.empty_like(attn)
-    dl_ts = np.moveaxis(dlogits, 0, -2)
-    np.matmul(np.swapaxes(v, -2, -1), dy, out=dl_ts)
-    dlogits -= np.einsum("...ds,...ds->...s", dy, y)
-    dlogits *= attn
-    if k is None:
-        return None, None, dv, dlogits
-    return k @ dl_ts, q @ np.swapaxes(dl_ts, -2, -1), dv, dlogits
+def block_attention_vjp(q, k, v, attn, y, dy, on_tile=None):
+    """Cotangents (dq, dk, dv) of block_attention given its tile-major
+    weights, its output y (recomputed per tile from v and the weights when
+    None) and the cotangent dy, both (..., d_v, S); dq and dk are None when k
+    is. Per tile: dv, then the logit cotangent in one tile-sized scratch that
+    every tile reuses, then dq and dk. `on_tile(lo, hi, g)`, if given, sees
+    each tile's logit cotangent g, (T, hi - lo, S), before the next tile
+    overwrites it. The softmax VJP's inner sum over key slots,
+    sum_t attn * (V^T dy), is taken as sum_d dy * y (the FlashAttention
+    row-sum identity). Masked slots have attn == 0 and get a zero logit
+    cotangent."""
+    qf, vf, dyf = _items(q), _items(v), _items(dy)
+    kf = None if k is None else _items(k)
+    yf = None if y is None else _items(y)
+    items, slots, queries = qf.shape[0], vf.shape[-1], qf.shape[-1]
+    dv = np.empty(vf.shape, dtype=np.result_type(dyf, attn))
+    if kf is not None:
+        dq = np.empty(qf.shape, dtype=np.result_type(kf, attn))
+        dk = np.empty(kf.shape, dtype=np.result_type(qf, attn))
+    tiles = _tiles(items, slots, queries, attn.itemsize)
+    # the logit cotangent of one tile at a time; the first tile is the largest
+    scratch = np.empty(tiles[0][1] * slots * queries, dtype=attn.dtype)
+    for lo, hi in tiles:
+        a = _tile(attn, lo, hi, slots, queries)
+        a_ts = np.moveaxis(a, 0, -2)
+        y_tile = vf[lo:hi] @ a_ts if yf is None else yf[lo:hi]
+        inner = np.einsum("...ds,...ds->...s", dyf[lo:hi], y_tile)
+        np.matmul(dyf[lo:hi], np.swapaxes(a_ts, -2, -1), out=dv[lo:hi])
+        g = _tile(scratch, 0, hi - lo, slots, queries)
+        g_ts = np.moveaxis(g, 0, -2)
+        np.matmul(np.swapaxes(vf[lo:hi], -2, -1), dyf[lo:hi], out=g_ts)
+        g -= inner
+        g *= a
+        if on_tile is not None:
+            on_tile(lo, hi, g)
+        if kf is not None:
+            np.matmul(kf[lo:hi], g_ts, out=dq[lo:hi])
+            np.matmul(qf[lo:hi], np.swapaxes(g_ts, -2, -1), out=dk[lo:hi])
+    dv = dv.reshape(v.shape)
+    if kf is None:
+        return None, None, dv
+    return dq.reshape(q.shape), dk.reshape(k.shape), dv
 
 
 def window_slices(k: int, h_out: int, w_out: int, stride: int = 1):

@@ -1,12 +1,14 @@
 """Tensor substrate: the softmax, where a slot is masked out by a logit of
--inf, and the k x k window neighborhood that local attention reads (padded
-sliding windows, with out-of-image slots marked by window_validity)."""
+-inf, the tiled block attention core and its VJP, and the k x k window
+neighborhood that local attention reads (padded sliding windows, with
+out-of-image slots marked by window_validity)."""
 
 import numpy as np
 import pytest
 
 from localattn.errors import DegenerateGroupError, UnsupportedExtentError
-from localattn.tensorops import (pad_hw, sliding_windows, softmax_axis, softmax_vjp,
+from localattn.tensorops import (TILE_BYTES, block_attention, block_attention_vjp, pad_hw,
+                                 sliding_windows, softmax_axis, softmax_vjp, untile,
                                  window_slices, window_validity)
 
 
@@ -106,6 +108,108 @@ class TestSoftmaxMiddleAxis:
         got = softmax_vjp(p, dp.copy(), axis=-2)
         np.testing.assert_allclose(got, np.swapaxes(want, -2, -1), rtol=0, atol=1e-15)
         assert np.all(got[~keep] == 0.0)
+
+
+def _dense_attention(q, k, v, bias, dy):
+    """Per-item reference for block_attention and its VJP on (L, d, S) q,
+    (L, d, T) k and v and a (T, L, S) bias: the weights (T, L, S), y, and
+    the cotangents dq, dk, dv and the logit cotangent (T, L, S), with the
+    softmax VJP's inner sum taken over key slots."""
+    items, slots = v.shape[0], v.shape[-1]
+    attn = np.empty(bias.shape)
+    dlogits = np.empty(bias.shape)
+    y, dq, dv = (np.empty_like(a) for a in (dy, q, v))
+    dk = None if k is None else np.empty_like(k)
+    for i in range(items):
+        logits = bias[:, i] + (0.0 if k is None else k[i].T @ q[i])          # (T, S)
+        e = np.exp(logits - logits.max(axis=0))
+        a = e / e.sum(axis=0)
+        attn[:, i], y[i], dv[i] = a, v[i] @ a, dy[i] @ a.T
+        da = v[i].T @ dy[i]
+        g = a * (da - (a * da).sum(axis=0))
+        dlogits[:, i] = g
+        if k is not None:
+            dq[i], dk[i] = k[i] @ g, q[i] @ g.T
+    return attn, y, dq, dk, dv, dlogits
+
+
+def _items_per_tile(slots, queries):
+    return max(1, TILE_BYTES // (slots * queries * 8))
+
+
+# (items, d, T, S), f64: three full tiles and a partial fourth, fewer items
+# than one tile, and items larger than a tile (one item per tile)
+TILE_CASES = {
+    "partial-last-tile": lambda: (3 * _items_per_tile(12, 10) + 7, 3, 12, 10),
+    "under-one-tile": lambda: (5, 4, 9, 6),
+    "item-over-a-tile": lambda: (3, 2, 200, 180),
+}
+
+
+def _tile_case(case, masked, keyless, seed=40):
+    items, d, slots, queries = TILE_CASES[case]()
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((items, d, queries))
+    k = None if keyless else rng.standard_normal((items, d, slots))
+    v = rng.standard_normal((items, d + 1, slots))
+    bias = rng.standard_normal((slots, items, queries))
+    if masked:
+        keep = rng.random(bias.shape) < 0.5
+        keep[rng.integers(slots, size=(items, queries)),
+             np.arange(items)[:, None], np.arange(queries)] = True
+        bias[~keep] = -np.inf
+    dy = rng.standard_normal((items, d + 1, queries))
+    return q, k, v, bias, dy
+
+
+class TestBlockAttentionTiles:
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    @pytest.mark.parametrize("keyless", [False, True], ids=["qk", "k-none"])
+    @pytest.mark.parametrize("case", TILE_CASES)
+    def test_matches_dense_per_item_reference(self, case, keyless, masked):
+        q, k, v, bias, dy = _tile_case(case, masked, keyless)
+        slots, items, queries = bias.shape
+        # leading axes (2, items/2) where they split, to flatten two of them
+        lead = (2, items // 2) if items % 2 == 0 else (items,)
+        def shaped(t):
+            return None if t is None else t.reshape(lead + t.shape[1:])
+        want_attn, want_y, want_dq, want_dk, want_dv, want_g = _dense_attention(q, k, v, bias, dy)
+
+        y, attn = block_attention(shaped(q), shaped(k), shaped(v),
+                                  lambda lo, hi: bias[:, lo:hi])
+        assert y.shape == lead + (v.shape[1], queries)
+        np.testing.assert_allclose(y.reshape(want_y.shape), want_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(untile(attn, slots, queries), want_attn, rtol=0, atol=1e-12)
+        # tile by tile, the buffer holds (T, items, S) blocks back to back
+        c = _items_per_tile(slots, queries)
+        for lo in range(0, items, c):
+            hi = min(lo + c, items)
+            tile = attn[lo * slots * queries:hi * slots * queries].reshape(slots, hi - lo, queries)
+            np.testing.assert_allclose(tile, want_attn[:, lo:hi], rtol=0, atol=1e-12)
+
+        seen = []
+        dq, dk, dv = block_attention_vjp(
+            shaped(q), shaped(k), shaped(v), attn, y, shaped(dy),
+            lambda lo, hi, g: seen.append((lo, hi, g.copy())))
+        assert [(lo, hi) for lo, hi, _ in seen] == [
+            (lo, min(lo + c, items)) for lo in range(0, items, c)]
+        got_g = np.concatenate([g for _, _, g in seen], axis=1)
+        np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dv.reshape(want_dv.shape), want_dv, rtol=0, atol=1e-12)
+        if keyless:
+            assert dq is None and dk is None
+        else:
+            np.testing.assert_allclose(dq.reshape(want_dq.shape), want_dq, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dk.reshape(want_dk.shape), want_dk, rtol=0, atol=1e-12)
+        # y recomputed from the weights gives the same cotangents
+        again = block_attention_vjp(shaped(q), shaped(k), shaped(v), attn, None, shaped(dy))
+        np.testing.assert_array_equal(again[2], dv)
+
+    def test_degenerate_group_in_the_last_tile_raises(self):
+        q, k, v, bias, dy = _tile_case("partial-last-tile", masked=True, keyless=False)
+        bias[:, -1, 3] = -np.inf                     # one group of the last item
+        with pytest.raises(DegenerateGroupError, match="in 1 group"):
+            block_attention(q, k, v, lambda lo, hi: bias[:, lo:hi])
 
 
 class TestExtractNeighborhood:

@@ -7,7 +7,7 @@ from .autodiff import CheckReport, GradTape, gradcheck
 from .cost import (CONVENTION, CostEntry, CostReport, ParityReport, cost_parity,
                    count_flops, count_params, ledger)
 from .errors import (CheckpointError, ConfigurationError, ConstructionError,
-                     DegenerateGroupError, DimensionError, DivergenceError,
+                     ConsumedTapeError, DegenerateGroupError, DimensionError, DivergenceError,
                      IngestionError, NonFiniteGradientError, PaddingError,
                      ResolutionError, ScheduleError, UnsupportedExtentError)
 from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionStem", "AvgPool2x2", "BatchNorm2d", "Bottleneck",
     "CONVENTION", "CheckReport", "CheckpointError", "ConfigurationError",
-    "ConstructionError", "Conv2d", "CostEntry", "CostReport",
+    "ConstructionError", "ConsumedTapeError", "Conv2d", "CostEntry", "CostReport",
     "DatasetSource", "DegenerateGroupError", "DimensionError", "DivergenceError",
     "GlobalAvgPool", "GradTape", "History", "IngestionError",
     "Linear", "LocalAttention", "MaxPool", "Model",

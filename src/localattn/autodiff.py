@@ -3,8 +3,9 @@ finite-difference harness that certifies every manual backward pass.
 
 There is no graph tracing: each layer already knows its own backward, so a
 forward pass just records (name, layer, saved context) onto a GradTape and
-backward walks the records in reverse. Composite layers (residual blocks, the
-stem) handle their internal branching inside their own backward.
+backward pops the records in reverse, freeing each context once its layer's
+backward has run. Composite layers (residual blocks, the stem) handle their
+internal branching inside their own backward.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, NonFiniteGradientError
+from .errors import (ConfigurationError, ConsumedTapeError, DimensionError,
+                     NonFiniteGradientError)
 
 
 @dataclass
@@ -28,17 +30,25 @@ class GradTape:
         self.entries.append((name, layer, ctx))
 
     def backward(self, cotangent: np.ndarray):
-        """Walk the tape in reverse. Returns (input cotangent, gradient set);
-        the gradient set maps '<layer name>.<param name>' to an array of the
-        parameter's shape, with every trainable parameter present exactly once.
+        """Walk the tape in reverse, consuming it: each record is popped, so
+        its context is released before the next layer's backward runs, as
+        autograd does without retain_graph; a tape serves one backward.
+        Returns (input cotangent, gradient set); the gradient set maps
+        '<layer name>.<param name>' to an array of the parameter's shape, with
+        every trainable parameter present exactly once.
         """
+        if not self.entries:
+            raise ConsumedTapeError(
+                "the tape holds no records: an earlier backward consumed it, or "
+                "it comes from an inference forward, which records none")
         if self.output_shape is not None and cotangent.shape != self.output_shape:
             raise DimensionError(
                 f"cotangent shape {cotangent.shape} does not match recorded "
                 f"output shape {self.output_shape}")
         grads: dict[str, np.ndarray] = {}
         d = cotangent
-        for name, layer, ctx in reversed(self.entries):
+        while self.entries:
+            name, layer, ctx = self.entries.pop()
             d, layer_grads = layer.backward(d, ctx)
             for key, g in layer_grads.items():
                 if not np.all(np.isfinite(g)):

@@ -38,6 +38,11 @@ class DivergenceError(RuntimeError):
     """Training loss or a gradient became non-finite."""
 
 
+class ConsumedTapeError(RuntimeError):
+    """Backward on a tape with no records: an earlier backward consumed it,
+    or an inference forward recorded nothing."""
+
+
 class NonFiniteGradientError(RuntimeError):
     """A gradient contained NaN or Inf."""
 

@@ -267,9 +267,9 @@ class LocalAttention:
     n*heads*BH*BW items, are kept apart and added together into each tile
     of block_attention, so no logits-sized bias exists. ctx keeps the input
     and block_attention's tile-major weights; backward projects Q, K and V
-    again and takes the embedding gradients from each tile's per-axis sums
-    of the logit cotangent. window_weights reads the weights per pixel and
-    slot.
+    again, takes the embedding gradients from each tile's per-axis sums of
+    the logit cotangent and frees each full-size temporary after its last
+    use. window_weights reads the weights per pixel and slot.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, heads: int,
@@ -416,7 +416,7 @@ class LocalAttention:
         n, _, height, width = x_in.shape
         rows, cols, q, key, v = self._blocks(x_in)
         dyb = _to_blocks(dy.reshape(n, self.heads, self.d_head, height, width), rows.b, cols.b)
-        on_tile = None
+        sums = on_tile = None
         if self.row_emb is not None:
             # the cotangents of the row and the column term, (span, n, heads,
             # BH, BW, bh, bw): each tile's logit cotangent summed over its
@@ -430,22 +430,11 @@ class LocalAttention:
                     items = total.reshape(total.shape[0], -1, grid.shape[-1])
                     grid.sum(axis=1 - axis, out=items[:, lo:hi])
         dq, dk, dv = block_attention_vjp(q, key, v, attn, None, dyb, on_tile)
-
-        grads: dict[str, np.ndarray] = {}
         if dq is None:
             dq = np.zeros_like(dyb)
-        if self.row_emb is not None:
-            for axis, (plan, name) in enumerate(((rows, "row_emb"), (cols, "col_emb"))):
-                d_term = _axis_major(sums[axis], axis)                     # (B, b, span, M)
-                table = self._offset_table(axis, plan)
-                d_part = self._q_part(dq, rows, cols, axis)
-                d_part += _from_axis_major(np.swapaxes(table, -2, -1) @ d_term, axis,
-                                           d_part.shape)
-                q_part = _axis_major(self._q_part(q, rows, cols, axis), axis)
-                # masked slots have a zero logit cotangent, so the rows they
-                # were clipped to receive nothing from them
-                grads[name] = np.zeros_like(getattr(self, name))
-                np.add.at(grads[name], plan.emb_row, d_term @ np.swapaxes(q_part, -2, -1))
+        del key, v, dyb
+        grads = {} if sums is None else self._offset_grads(q, dq, sums, rows, cols)
+        del q, sums
 
         transforms = self._transforms()
         d_t = np.empty((n, len(transforms), self.heads, self.d_head, height, width),
@@ -454,6 +443,7 @@ class LocalAttention:
         if dk is not None:
             _scatter_windows(dk, rows, cols, d_t[:, 1])
         _scatter_windows(dv, rows, cols, d_t[:, -1])
+        del dq, dk, dv
         d_flat = d_t.reshape(n, -1, height * width)
         x_flat = x_in.reshape(n, self.d_in, height * width)
         d_w = np.tensordot(d_flat, x_flat, axes=([0, 2], [0, 2]))
@@ -462,6 +452,24 @@ class LocalAttention:
         dx = np.concatenate([w for _, w in transforms]).T @ d_flat
         # the absolute-mode position signal is a constant, so dx = dx_in
         return dx.reshape(x_in.shape), grads
+
+    def _offset_grads(self, q, dq, sums, rows: _AxisBlocks, cols: _AxisBlocks):
+        """The row_emb and col_emb gradients from the cotangents `sums` of the
+        row and the column term; adds the terms' share of q's cotangent into
+        dq."""
+        grads = {}
+        for axis, (plan, name) in enumerate(((rows, "row_emb"), (cols, "col_emb"))):
+            d_term = _axis_major(sums[axis], axis)                         # (B, b, span, M)
+            table = self._offset_table(axis, plan)
+            d_part = self._q_part(dq, rows, cols, axis)
+            d_part += _from_axis_major(np.swapaxes(table, -2, -1) @ d_term, axis,
+                                       d_part.shape)
+            q_part = _axis_major(self._q_part(q, rows, cols, axis), axis)
+            # masked slots have a zero logit cotangent, so the rows they were
+            # clipped to receive nothing from them
+            grads[name] = np.zeros_like(getattr(self, name))
+            np.add.at(grads[name], plan.emb_row, d_term @ np.swapaxes(q_part, -2, -1))
+        return grads
 
 
 def _channel_sums(t: np.ndarray) -> np.ndarray:
@@ -562,9 +570,10 @@ class AttentionStem:
     hb, wb, heads, d_head, 16); the weights are block_attention's tile-major
     buffer over the n*hb*wb*heads items, 16 key slots by 16 query slots
     each. Only the block output y goes back to NCHW, for the `norm` and
-    `pool` children. ctx keeps the block input, the weights and y. Backward
-    projects Q, K and V again, which an image's few input channels make
-    cheaper than keeping them.
+    `pool` children. ctx is a list of the block input, the weights, y and
+    the children's contexts, which backward consumes. Backward projects Q, K
+    and V again, which an image's few input channels make cheaper than
+    keeping them, and frees each full-size temporary after its last use.
     """
 
     WINDOW = 4
@@ -637,16 +646,20 @@ class AttentionStem:
         _from_blocks(yb.reshape(yb.shape[:3] + (self.d_out, -1)), win, win, attended)
         normed, bn_ctx = self.norm.forward(attended, training)
         y, pool_ctx = self.pool.forward(normed, training)
-        return y, (xb, p, w_mixed, attn, yb, bn_ctx, pool_ctx)
+        return y, [xb, p, w_mixed, attn, yb, bn_ctx, pool_ctx]
 
     def backward(self, dy: np.ndarray, ctx):
-        xb, p, w_mixed, attn, yb, bn_ctx, pool_ctx = ctx
-        d_normed, _ = self.pool.backward(dy, pool_ctx)
-        d_attended, bn_grads = self.norm.backward(d_normed, bn_ctx)
-        q, key, v = self._project(xb, w_mixed)
-
+        # the children's contexts are popped, as Sequential pops its
+        # children's, so the norm's x_hat is freed before the attention VJP
+        d_normed, _ = self.pool.backward(dy, ctx.pop())
+        d_attended, bn_grads = self.norm.backward(d_normed, ctx.pop())
+        del d_normed
+        xb, p, w_mixed, attn, yb = ctx
         dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW).reshape(yb.shape)
+        del d_attended
+        q, key, v = self._project(xb, w_mixed)
         dq, dk, dv = block_attention_vjp(q, key, v, attn, yb, dyb)
+        del q, key, v, dyb
 
         slots = xb.shape[-1]
         x_flat = xb.reshape(-1, self.d_in, slots)                          # (blocks, in, s)
@@ -656,13 +669,15 @@ class AttentionStem:
         grads["W_Q"] = (dq @ x_t).sum(axis=0)
         grads["W_K"] = (dk @ x_t).sum(axis=0)
         dxb = self.W_Q.T @ dq + self.W_K.T @ dk
+        del dq, dk
         dxb += np.einsum("soi,nos->nis", w_mixed, dv, optimize=True)
+        d_wmixed = np.einsum("nos,nis->soi", dv, x_flat, optimize=True).reshape(
+            self.WINDOW, self.WINDOW, self.d_out, self.d_in)
+        del dv
         n, hb, wb = xb.shape[:3]
         dx = np.empty((n, self.d_in, hb * self.WINDOW, wb * self.WINDOW), dtype=dxb.dtype)
         _from_blocks(dxb.reshape(xb.shape), self.WINDOW, self.WINDOW, dx)
 
-        d_wmixed = np.einsum("nos,nis->soi", dv, x_flat, optimize=True).reshape(
-            self.WINDOW, self.WINDOW, self.d_out, self.d_in)
         grads["W_V"] = np.einsum("abm,aboi->moi", p, d_wmixed, optimize=True)
         dp = np.einsum("aboi,moi->abm", d_wmixed, self.W_V, optimize=True)
         dp_logits = softmax_vjp(p, dp)                                      # (4, 4, M)

@@ -161,10 +161,12 @@ class Sequential:
         return x, ctxs
 
     def backward(self, dy, ctxs):
+        """Consumes ctxs, as GradTape.backward consumes its tape: each child's
+        context is popped and released once that child's backward returns."""
         grads = {}
         d = dy
-        for (name, layer), ctx in zip(reversed(self.named_layers), reversed(ctxs)):
-            d, layer_grads = layer.backward(d, ctx)
+        for name, layer in reversed(self.named_layers):
+            d, layer_grads = layer.backward(d, ctxs.pop())
             for key, g in layer_grads.items():
                 grads[f"{name}.{key}"] = g
         return d, grads
@@ -274,6 +276,9 @@ class Model:
     params = Sequential.params
 
     def forward(self, x: np.ndarray, training: bool = False):
+        """(output, tape). A training forward records each layer's context
+        for one backward; an inference forward records none, so each context
+        is freed as soon as its layer returns."""
         height, width = x.shape[2], x.shape[3]
         f = self.downsample_factor
         if height % f or width % f:
@@ -283,7 +288,9 @@ class Model:
         tape = GradTape()
         for name, layer in self.named_layers:
             x, ctx = layer.forward(x, training)
-            tape.record(name, layer, ctx)
+            if training:
+                tape.record(name, layer, ctx)
+            del ctx
         tape.output_shape = x.shape
         return x, tape
 

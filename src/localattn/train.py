@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+import time
 from dataclasses import dataclass, field
+
+try:
+    import resource
+except ImportError:          # no resource module on Windows
+    resource = None
 
 import numpy as np
 
@@ -99,6 +106,29 @@ def cross_entropy_smoothed(logits: np.ndarray, labels: np.ndarray,
     return loss, dlogits
 
 
+def train_step(model: Model, params: dict[str, np.ndarray], state: OptimizerState,
+               images: np.ndarray, labels: np.ndarray, lr: float, smoothing: float) -> float:
+    """One optimizer step on one batch; returns its loss. A non-finite loss
+    is returned without a backward or an update. The logits, the tape (which
+    the backward consumes) and the gradients die with the call, so nothing
+    of one step is alive during the next."""
+    logits, tape = model.forward(images, training=True)
+    loss, dlogits = cross_entropy_smoothed(logits, labels, smoothing)
+    if math.isfinite(loss):
+        _, grads = tape.backward(dlogits)
+        nesterov_step(params, grads, state, lr)
+    return loss
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MiB, or None without the
+    resource module. ru_maxrss counts KiB on Linux and bytes on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2 ** 20 if sys.platform == "darwin" else peak / 1024
+
+
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
@@ -168,7 +198,10 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
 
     Fixed seeds make the metric stream reproducible: initialization, shuffling,
     and augmentation all derive from config.seed and source.seed. A non-finite
-    loss or gradient aborts with the last epoch-end state checkpointed.
+    loss or gradient aborts with the last epoch-end state checkpointed. After
+    each epoch's progress line, `log` gets a `# time epoch` line: the epoch's
+    wall time with its validation pass, training images per second of it and
+    the process's peak RSS so far.
     """
     (train_x, train_y), (val_x, val_y) = load_data(source)
     model = build_model(spec, seed=config.seed, dtype=dtype)
@@ -202,6 +235,7 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
         return DivergenceError(message)
 
     for epoch in range(config.epochs):
+        epoch_start = time.perf_counter()
         order = rng.permutation(len(train_x))
         epoch_loss = 0.0
         for start in range(0, len(train_x), config.batch_size):
@@ -213,18 +247,14 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
                 xb = xb.copy()
                 xb[flip] = xb[flip][:, :, :, ::-1]
             try:
-                logits, tape = model.forward(xb, training=True)
+                loss = train_step(model, params, state, xb, yb, lr_at(schedule, state.step),
+                                  config.label_smoothing)
             except DegenerateGroupError as exc:    # attention logits overflowed
                 raise diverged(str(exc)) from exc
-            loss, dlogits = cross_entropy_smoothed(logits, yb, config.label_smoothing)
-            if not math.isfinite(loss):
-                raise diverged("non-finite loss")
-            try:
-                _, grads = tape.backward(dlogits)
             except NonFiniteGradientError as exc:
                 raise diverged(f"non-finite gradient for parameter '{exc.name}'") from exc
-            lr = lr_at(schedule, state.step)
-            nesterov_step(params, grads, state, lr)
+            if not math.isfinite(loss):
+                raise diverged("non-finite loss")
             epoch_loss += loss * len(xb)
         epoch_loss /= len(train_x)
         val_acc = evaluate(model, val_x, val_y)
@@ -234,6 +264,10 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
         if log:
             log(f"epoch {epoch + 1}/{config.epochs} step {state.step} "
                 f"lr {lr_now:.5f} loss {epoch_loss:.4f} val_acc {val_acc:.4f}")
+            seconds = time.perf_counter() - epoch_start
+            rss = peak_rss_mb()
+            log(f"# time epoch {epoch + 1} {seconds:.2f}s {len(train_x) / seconds:.1f} images/s "
+                f"peak_rss_mb {'n/a' if rss is None else f'{rss:.1f}'}")
 
     ema_snapshot = _ema_state(model, state)
     if history.checkpoint_path:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from localattn.autodiff import GradTape, gradcheck
-from localattn.errors import ConfigurationError, DimensionError, NonFiniteGradientError
+from localattn.errors import (ConfigurationError, ConsumedTapeError, DimensionError,
+                              NonFiniteGradientError)
 from localattn.layers import AttentionStem, BatchNorm2d, Conv2d, Linear, LocalAttention, ReLU
 from localattn.model import ModelSpec, build_model
 from localattn.verify import gradcheck_layers
@@ -65,6 +66,33 @@ class TestTapeMechanics:
         with pytest.raises(NonFiniteGradientError) as exc:
             tape.backward(bad)
         assert "fc" in str(exc.value)
+
+    def test_backward_consumes_the_tape(self):
+        spec = ModelSpec(block_counts=(1,), groups=("attention",), stem="attention_stem",
+                         width_multiplier=0.125, k=3, heads=2, num_classes=4,
+                         input_resolution=16)
+        model = build_model(spec, seed=0, dtype=np.float64)
+        logits, tape = model.forward(np.random.default_rng(12).standard_normal((2, 3, 16, 16)),
+                                     training=True)
+        assert len(tape.entries) == len(model.named_layers)
+        stem_ctx, (main_ctxs, shortcut_ctxs, _) = tape.entries[0][2], tape.entries[1][2]
+        tape.backward(np.ones_like(logits))
+        assert tape.entries == []
+        # composites pop their children's contexts too: the block's two
+        # branches and the stem's norm and pool
+        assert main_ctxs == [] and shortcut_ctxs == []
+        assert len(stem_ctx) == 5
+        with pytest.raises(ConsumedTapeError, match="an earlier backward consumed it"):
+            tape.backward(np.ones_like(logits))
+
+    def test_inference_forward_records_nothing(self):
+        spec = ModelSpec(block_counts=(1,), groups=("conv",), width_multiplier=0.125,
+                         num_classes=4, input_resolution=16, small_input=True)
+        model = build_model(spec, seed=0, dtype=np.float64)
+        logits, tape = model.forward(np.ones((1, 3, 16, 16)), training=False)
+        assert tape.entries == []
+        with pytest.raises(ConsumedTapeError, match="inference forward"):
+            tape.backward(np.ones_like(logits))
 
 
 class TestGradcheck:

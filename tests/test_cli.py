@@ -155,6 +155,14 @@ class TestTrainEval:
         assert len(progress) == 2
         assert progress[0].startswith("epoch 1/2 ")
         assert "val_acc" in progress[0]
+        # one timing line per epoch: wall time, images/s and peak RSS so far
+        timing = [l.split() for l in out.splitlines() if l.startswith("# time epoch ")]
+        assert [fields[3] for fields in timing] == ["1", "2"]
+        for fields in timing:
+            assert fields[4].endswith("s") and float(fields[4][:-1]) > 0
+            assert fields[6] == "images/s" and float(fields[5]) > 0
+            assert fields[7] == "peak_rss_mb" and float(fields[8]) > 0
+        assert float(timing[1][8]) >= float(timing[0][8])
 
     def test_seed_flag_changes_the_run(self, capsys):
         _, a, _ = _cli(["train", "--seed", "0"]

@@ -2,6 +2,7 @@
 agreement with float64."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,16 @@ from localattn.train import (
     lr_at,
     nesterov_step,
     train_loop,
+    train_step,
 )
+
+DESK_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs", "desk_blocks.cfg")
+
+
+def _desk_spec():
+    mapping = read_config(DESK_CONFIG)
+    return ModelSpec.from_mapping({k: v for k, v in mapping.items() if k in MODEL_CONFIG_KEYS})
 
 
 def _tiny_spec(**kwargs):
@@ -417,10 +427,7 @@ class TestFloat32Agreement:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_desk_logits_and_gradients_match_float64(self, seed):
-        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                            "configs", "desk_blocks.cfg")
-        mapping = read_config(path)
-        spec = ModelSpec.from_mapping({k: v for k, v in mapping.items() if k in MODEL_CONFIG_KEYS})
+        spec = _desk_spec()
         images, labels = synthetic_blocks(16, seed=seed)
         model32 = build_model(spec, seed=seed)
         model64 = build_model(spec, seed=seed, dtype=np.float64)
@@ -446,3 +453,37 @@ class TestFloat32Agreement:
         diff = sum(float(np.sum((grads32[k] - grads64[k]) ** 2)) for k in grads64)
         norm = sum(float(np.sum(grads64[k] ** 2)) for k in grads64)
         assert np.sqrt(diff / norm) <= 1e-3
+
+
+class TestStepMemory:
+    """A training step frees what it allocates: backward pops each context
+    once its layer has run, composites pop their children's, and train_step
+    lets its logits, tape and gradients die with it. So consecutive desk
+    steps (batch 128, f32) peak at the same height above the memory in use
+    before the first. Traced at 98.8 MiB; a step that kept its whole tape
+    through backward peaked at 163 MiB, and one that also kept the previous
+    step's tape alive into the next forward at 175.7 MiB."""
+
+    BOUND_MIB = 104.0
+
+    def test_consecutive_desk_steps_peak_alike_and_within_the_bound(self):
+        spec = _desk_spec()
+        images, labels = synthetic_blocks(128, seed=0)
+        model = build_model(spec, seed=0)
+        params = model.params
+        state = OptimizerState.for_params(params)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            peaks = []
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                train_step(model, params, state, images, labels, 0.0, 0.1)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1.0, peaks
+        assert max(peaks) <= self.BOUND_MIB, peaks

@@ -36,7 +36,8 @@ layer = LocalAttention(4, 4, k=3, heads=2, encoding_mode="none",
 y, ctx = layer.forward(x)
 print("\noutput shape:", y.shape)
 
-# window_weights reads the saved attention weights as (batch, heads, H, W, k*k).
+# window_weights rebuilds the attention weights from the forward's context as
+# (batch, heads, H, W, k*k).
 attn = layer.window_weights(ctx)
 print("every pixel's weights sum to one:",
       bool(np.allclose(attn.sum(-1), 1.0)))

@@ -228,6 +228,10 @@ def run(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}; try a smaller "
+              f"batch size or resolution", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

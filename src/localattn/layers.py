@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, PaddingError, UnsupportedExtentError
-from .tensorops import (block_attention, block_attention_vjp, pad_hw, softmax_axis, softmax_vjp,
-                        untile, window_slices, window_validity)
+from .tensorops import (block_attention, block_attention_vjp, block_weights, pad_hw, softmax_axis,
+                        softmax_vjp, window_slices, window_validity)
 
 MODES = ("none", "absolute", "relative", "relative_only")
 
@@ -266,10 +266,13 @@ class LocalAttention:
     -inf beyond; the row and column terms, (span, L, S) each for the L =
     n*heads*BH*BW items, are kept apart and added together into each tile
     of block_attention, so no logits-sized bias exists. ctx keeps the input
-    and block_attention's tile-major weights; backward projects Q, K and V
-    again, takes the embedding gradients from each tile's per-axis sums of
-    the logit cotangent and frees each full-size temporary after its last
-    use. window_weights reads the weights per pixel and slot.
+    and block_attention's softmax statistics, not the weights; backward
+    projects Q, K and V and builds the two terms again, lets the VJP
+    rebuild the weights tile by tile and write dK and dV over the K and V
+    windows, takes the embedding gradients from each tile's per-axis sums
+    of the logit cotangent and frees each full-size temporary after its
+    last use. window_weights rebuilds the weights from the saved input and
+    reads them per pixel and slot.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, heads: int,
@@ -336,13 +339,15 @@ class LocalAttention:
 
     def _bias(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks):
         """The logit bias as block_attention takes it: items lo:hi of the row
-        term plus the column term, (T, hi - lo, S). Only the two terms, each
-        1/span of the logits, are held in full."""
+        term plus the column term, built in the core's spare tile `out`, (T,
+        hi - lo, S). Only the two terms, each 1/span of the logits, are held
+        in full."""
         row, col = (self._offset_term(q, rows, cols, axis) for axis in (0, 1))
 
-        def bias(lo: int, hi: int) -> np.ndarray:
-            tile = np.add(row[:, None, lo:hi], col[None, :, lo:hi])
-            return tile.reshape((rows.span * cols.span,) + tile.shape[2:])
+        def bias(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+            np.add(row[:, None, lo:hi], col[None, :, lo:hi],
+                   out=out.reshape(rows.span, cols.span, hi - lo, -1))
+            return out
         return bias
 
     def _offset_term(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, axis: int):
@@ -384,18 +389,19 @@ class LocalAttention:
             x_in = x + absolute_position_signal(self.d_in, height, width)[None].astype(x.dtype)
 
         rows, cols, q, key, v = self._blocks(x_in)
-        y, attn = block_attention(q, key, v, self._bias(q, rows, cols))
+        y, stats = block_attention(q, key, v, self._bias(q, rows, cols))
         out = np.empty((n, self.heads, self.d_head, height, width), dtype=y.dtype)
         _from_blocks(y, rows.b, cols.b, out)
-        return out.reshape(n, self.d_out, height, width), (x_in, attn)
+        return out.reshape(n, self.d_out, height, width), (x_in, stats)
 
     def window_weights(self, ctx) -> np.ndarray:
-        """The saved weights as (n, heads, H, W, k*k): slot u*k + v holds the
-        pixel at offset (u - k//2, v - k//2); out-of-image slots are 0."""
-        x_in, attn = ctx
+        """The weights of a forward, rebuilt from its context, as (n, heads,
+        H, W, k*k): slot u*k + v holds the pixel at offset (u - k//2, v -
+        k//2); out-of-image slots are 0."""
+        x_in, stats = ctx
         n, _, height, width = x_in.shape
-        rows, cols = _axis_blocks(height, self.k), _axis_blocks(width, self.k)
-        attn = untile(attn, rows.span * cols.span, rows.b * cols.b)
+        rows, cols, q, key, v = self._blocks(x_in)
+        attn = block_weights(q, key, v, stats, self._bias(q, rows, cols))
         index = []
         for side, plan in ((height, rows), (width, cols)):
             pixel = np.arange(side)
@@ -412,7 +418,7 @@ class LocalAttention:
         return np.where(window_validity(height, width, self.k), w, 0.0)
 
     def backward(self, dy: np.ndarray, ctx):
-        x_in, attn = ctx
+        x_in, stats = ctx
         n, _, height, width = x_in.shape
         rows, cols, q, key, v = self._blocks(x_in)
         dyb = _to_blocks(dy.reshape(n, self.heads, self.d_head, height, width), rows.b, cols.b)
@@ -429,7 +435,8 @@ class LocalAttention:
                 for axis, total in enumerate(sums):
                     items = total.reshape(total.shape[0], -1, grid.shape[-1])
                     grid.sum(axis=1 - axis, out=items[:, lo:hi])
-        dq, dk, dv = block_attention_vjp(q, key, v, attn, None, dyb, on_tile)
+        dq, dk, dv = block_attention_vjp(q, key, v, stats, None, dyb,
+                                         self._bias(q, rows, cols), on_tile)
         if dq is None:
             dq = np.zeros_like(dyb)
         del key, v, dyb
@@ -567,13 +574,14 @@ class AttentionStem:
     is one query block and its own key window. The d_in-channel input is
     copied once to (n, hb, wb, d_in, 16), slot a*4 + b holding block
     position (a, b), and Q, K and V are projected from it straight into (n,
-    hb, wb, heads, d_head, 16); the weights are block_attention's tile-major
-    buffer over the n*hb*wb*heads items, 16 key slots by 16 query slots
-    each. Only the block output y goes back to NCHW, for the `norm` and
-    `pool` children. ctx is a list of the block input, the weights, y and
-    the children's contexts, which backward consumes. Backward projects Q, K
-    and V again, which an image's few input channels make cheaper than
-    keeping them, and frees each full-size temporary after its last use.
+    hb, wb, heads, d_head, 16), n*hb*wb*heads items of 16 key slots by 16
+    query slots. Only the block output y goes back to NCHW, for the `norm`
+    and `pool` children. ctx is a list of the block input, block_attention's
+    softmax statistics (not the weights), y and the children's contexts,
+    which backward consumes. Backward projects Q, K and V again, which an
+    image's few input channels make cheaper than keeping them, lets the VJP
+    rebuild the weights tile by tile and write dK and dV over K and V, and
+    frees each full-size temporary after its last use.
     """
 
     WINDOW = 4
@@ -640,13 +648,13 @@ class AttentionStem:
             win * win, self.d_out, self.d_in)                               # (slot, out, in)
 
         xb = _to_blocks(x, win, win)                                        # (n, hb, wb, in, s)
-        yb, attn = block_attention(*self._project(xb, w_mixed))
+        yb, stats = block_attention(*self._project(xb, w_mixed))
 
         attended = np.empty((x.shape[0], self.d_out, height, width), dtype=yb.dtype)
         _from_blocks(yb.reshape(yb.shape[:3] + (self.d_out, -1)), win, win, attended)
         normed, bn_ctx = self.norm.forward(attended, training)
         y, pool_ctx = self.pool.forward(normed, training)
-        return y, [xb, p, w_mixed, attn, yb, bn_ctx, pool_ctx]
+        return y, [xb, p, w_mixed, stats, yb, bn_ctx, pool_ctx]
 
     def backward(self, dy: np.ndarray, ctx):
         # the children's contexts are popped, as Sequential pops its
@@ -654,11 +662,11 @@ class AttentionStem:
         d_normed, _ = self.pool.backward(dy, ctx.pop())
         d_attended, bn_grads = self.norm.backward(d_normed, ctx.pop())
         del d_normed
-        xb, p, w_mixed, attn, yb = ctx
+        xb, p, w_mixed, stats, yb = ctx
         dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW).reshape(yb.shape)
         del d_attended
         q, key, v = self._project(xb, w_mixed)
-        dq, dk, dv = block_attention_vjp(q, key, v, attn, yb, dyb)
+        dq, dk, dv = block_attention_vjp(q, key, v, stats, yb, dyb)
         del q, key, v, dyb
 
         slots = xb.shape[-1]

@@ -8,9 +8,13 @@ on verification paths and float32 is accepted for training paths.
 block_attention works tile by tile over its flattened item axis (blocks x
 heads, batch in front): a tile is as many consecutive items as keep its
 logits within TILE_BYTES, so a tile's logits, softmax and GEMMs stay in L2
-and no logits-sized temporary is allocated. The saved weights are one flat
-tile-major buffer: tile i, items lo:hi, is the contiguous (T, hi - lo, S)
-block at offset lo*T*S, key slot first so the softmax reduces over axis 0.
+and no logits-sized array is allocated. Each tile's logits are written key
+slot first, so the softmax reduces over axis 0, into one tile-sized scratch
+that every tile reuses. The weights are not kept: block_attention returns
+each query's logit max and sum of exponentials, and block_attention_vjp and
+block_weights rebuild a tile's weights from them with the forward's ops in
+the forward's order, so bit for bit (FlashAttention's recomputation, arXiv
+2205.14135).
 """
 
 from __future__ import annotations
@@ -22,9 +26,12 @@ from .errors import DegenerateGroupError, DimensionError, UnsupportedExtentError
 TILE_BYTES = 256 * 1024    # logits bytes per tile of block_attention
 
 
-def softmax_axis(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+def softmax_axis(x: np.ndarray, axis: int, out: np.ndarray | None = None,
+                 stats=None) -> np.ndarray:
     """Numerically stabilized softmax along `axis`, into `out` if given (which
-    may be x itself).
+    may be x itself). `stats`, if given, is a pair of arrays shaped like x
+    reduced over `axis` with keepdims, which receive each group's max and
+    sum of exponentials.
 
     A slot is masked out by a logit of -inf: its weight is exactly zero and
     the group's other slots sum to one. A group whose max is not finite (a
@@ -33,7 +40,8 @@ def softmax_axis(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.
     x = np.asarray(x)
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"axis {axis} out of range for rank {x.ndim}")
-    m = np.max(x, axis=axis, keepdims=True)
+    m_out, sum_out = (None, None) if stats is None else stats
+    m = np.max(x, axis=axis, keepdims=True, out=m_out)
     degenerate = ~np.isfinite(m)
     if np.any(degenerate):
         raise DegenerateGroupError(
@@ -41,7 +49,7 @@ def softmax_axis(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.
             f"logit -inf, in {int(degenerate.sum())} group(s)")
     e = np.subtract(x, m, out=out, dtype=np.result_type(x, 0.0))    # integer logits give float64
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=axis, keepdims=True, out=sum_out)
     return e
 
 
@@ -61,26 +69,42 @@ def _items(t: np.ndarray) -> np.ndarray:
     return t.reshape((-1,) + t.shape[-2:])
 
 
-def _tiles(items: int, slots: int, queries: int, itemsize: int):
-    """(lo, hi) item ranges of the consecutive tiles: max(1, TILE_BYTES //
-    (slots * queries * itemsize)) items each, the last one possibly partial."""
-    c = max(1, TILE_BYTES // (slots * queries * itemsize))
-    return [(lo, min(lo + c, items)) for lo in range(0, items, c)]
+def _tiles(items: int, slots: int, queries: int, dtype):
+    """Yield (lo, hi, a, b) for the consecutive tiles of max(1, TILE_BYTES //
+    (slots * queries * itemsize)) items each, the last one possibly partial:
+    a and b are (T, hi - lo, S) views of two tile-sized scratches that every
+    tile reuses."""
+    c = max(1, TILE_BYTES // (slots * queries * np.dtype(dtype).itemsize))
+    scratch = np.empty((2, min(c, items) * slots * queries), dtype=dtype)
+    for lo in range(0, items, c):
+        hi = min(lo + c, items)
+        a, b = scratch[:, :(hi - lo) * slots * queries].reshape(2, slots, hi - lo, queries)
+        yield lo, hi, a, b
 
 
-def _tile(buf: np.ndarray, lo: int, hi: int, slots: int, queries: int) -> np.ndarray:
-    """(T, hi - lo, S) view of the tile of items lo:hi in a flat tile-major
-    buffer."""
-    return buf[lo * slots * queries:hi * slots * queries].reshape(slots, hi - lo, queries)
+def _logits(qf, kf, bias, lo, hi, out, spare):
+    """The logits K^T Q + bias of items lo:hi into out, (T, hi - lo, S);
+    spare, of the same shape, is scratch the bias may be built in."""
+    if kf is None:
+        out[...] = 0.0
+    else:
+        np.matmul(np.swapaxes(kf[lo:hi], -2, -1), qf[lo:hi], out=np.moveaxis(out, 0, -2))
+    if bias is not None:
+        out += bias(lo, hi, spare)
 
 
-def untile(attn: np.ndarray, slots: int, queries: int) -> np.ndarray:
-    """block_attention's tile-major weights as one (T, L, S) array."""
-    items = attn.size // (slots * queries)
-    out = np.empty((slots, items, queries), dtype=attn.dtype)
-    for lo, hi in _tiles(items, slots, queries, attn.itemsize):
-        out[:, lo:hi] = _tile(attn, lo, hi, slots, queries)
-    return out
+def _weight_tiles(qf, kf, slots, stats, bias):
+    """Yield (lo, hi, a, spare) per tile of block_attention: a the weights
+    of items lo:hi, exp(logits - max) / sum, rebuilt with the forward's ops
+    in the forward's order, so bit for bit as the forward computed them, and
+    spare a free scratch of the same shape. Both are reused by the next
+    tile."""
+    for lo, hi, a, spare in _tiles(qf.shape[0], slots, qf.shape[-1], qf.dtype):
+        _logits(qf, kf, bias, lo, hi, a, spare)
+        a -= stats[0, None, lo:hi]
+        np.exp(a, out=a)
+        a /= stats[1, None, lo:hi]
+        yield lo, hi, a, spare
 
 
 def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=None):
@@ -90,73 +114,74 @@ def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=Non
     items (blocks and heads, batch in front); they are flattened into L items
     (a copy unless the array is item-contiguous). The logits are K^T Q plus
     the bias; a k of None leaves the bias alone, and a -inf bias masks a slot
-    out. `bias(lo, hi)` returns the bias of items lo:hi, broadcastable to
-    (T, hi - lo, S). Per tile the logits are written key slot first into the
-    tile's block of the weights buffer, the bias is added, the softmax is
-    taken over axis 0 in place and V @ attn is written into the tile's rows
-    of y. Returns y, (..., d_v, S), and the weights as a flat tile-major
-    buffer of L*T*S elements (see the module docstring).
+    out. `bias(lo, hi, out)` returns the bias of items lo:hi, broadcastable
+    to (T, hi - lo, S); out is a free (T, hi - lo, S) scratch it may build
+    the bias in. Per tile the logits are written key slot first into one
+    tile-sized scratch, the bias is added, the softmax is taken over axis 0
+    in place and V @ attn is written into the tile's rows of y. Returns y,
+    (..., d_v, S), and the softmax statistics, a (2, L, S) array of each
+    query's logit max and sum of exponentials, from which the VJP and
+    block_weights rebuild the weights.
     """
     qf, vf = _items(q), _items(v)
     kf = None if k is None else _items(k)
     items, slots, queries = qf.shape[0], vf.shape[-1], qf.shape[-1]
-    attn = np.empty(items * slots * queries, dtype=q.dtype)
-    y = np.empty((items, vf.shape[-2], queries), dtype=np.result_type(vf, attn))
-    for lo, hi in _tiles(items, slots, queries, attn.itemsize):
-        tile = _tile(attn, lo, hi, slots, queries)
-        if kf is None:
-            tile[...] = 0.0
-        else:
-            np.matmul(np.swapaxes(kf[lo:hi], -2, -1), qf[lo:hi], out=np.moveaxis(tile, 0, -2))
-        if bias is not None:
-            tile += bias(lo, hi)
-        softmax_axis(tile, 0, out=tile)
+    stats = np.empty((2, items, queries), dtype=q.dtype)
+    y = np.empty((items, vf.shape[-2], queries), dtype=np.result_type(vf, q))
+    for lo, hi, tile, spare in _tiles(items, slots, queries, q.dtype):
+        _logits(qf, kf, bias, lo, hi, tile, spare)
+        softmax_axis(tile, 0, out=tile, stats=stats[:, None, lo:hi])
         np.matmul(vf[lo:hi], np.moveaxis(tile, 0, -2), out=y[lo:hi])
-    return y.reshape(v.shape[:-1] + (queries,)), attn
+    return y.reshape(v.shape[:-1] + (queries,)), stats
 
 
-def block_attention_vjp(q, k, v, attn, y, dy, on_tile=None):
-    """Cotangents (dq, dk, dv) of block_attention given its tile-major
-    weights, its output y (recomputed per tile from v and the weights when
+def block_weights(q, k, v, stats, bias=None) -> np.ndarray:
+    """block_attention's weights as one (T, L, S) array, rebuilt from its
+    inputs and statistics as the VJP rebuilds them."""
+    qf = _items(q)
+    kf = None if k is None else _items(k)
+    slots = v.shape[-1]
+    out = np.empty((slots, qf.shape[0], qf.shape[-1]), dtype=q.dtype)
+    for lo, hi, a, _ in _weight_tiles(qf, kf, slots, stats, bias):
+        out[:, lo:hi] = a
+    return out
+
+
+def block_attention_vjp(q, k, v, stats, y, dy, bias=None, on_tile=None):
+    """Cotangents (dq, dk, dv) of block_attention given its statistics and
+    bias, its output y (recomputed per tile from v and the weights when
     None) and the cotangent dy, both (..., d_v, S); dq and dk are None when k
-    is. Per tile: dv, then the logit cotangent in one tile-sized scratch that
-    every tile reuses, then dq and dk. `on_tile(lo, hi, g)`, if given, sees
-    each tile's logit cotangent g, (T, hi - lo, S), before the next tile
-    overwrites it. The softmax VJP's inner sum over key slots,
-    sum_t attn * (V^T dy), is taken as sum_d dy * y (the FlashAttention
-    row-sum identity). Masked slots have attn == 0 and get a zero logit
-    cotangent."""
+    is. k and v are consumed: dk and dv are written over their item arrays,
+    each tile's after that tile's last read. Per tile: the weights are
+    rebuilt bit for bit into one tile-sized scratch, the bias built in a
+    second one; then the logit cotangent in that second scratch, dv, dq and
+    dk. `on_tile(lo, hi, g)`, if given, sees each tile's logit cotangent g,
+    (T, hi - lo, S), before the next tile overwrites it. The softmax VJP's
+    inner sum over key slots, sum_t attn * (V^T dy), is taken as sum_d dy *
+    y (the FlashAttention row-sum identity). Masked slots have attn == 0 and
+    get a zero logit cotangent."""
     qf, vf, dyf = _items(q), _items(v), _items(dy)
     kf = None if k is None else _items(k)
     yf = None if y is None else _items(y)
-    items, slots, queries = qf.shape[0], vf.shape[-1], qf.shape[-1]
-    dv = np.empty(vf.shape, dtype=np.result_type(dyf, attn))
     if kf is not None:
-        dq = np.empty(qf.shape, dtype=np.result_type(kf, attn))
-        dk = np.empty(kf.shape, dtype=np.result_type(qf, attn))
-    tiles = _tiles(items, slots, queries, attn.itemsize)
-    # the logit cotangent of one tile at a time; the first tile is the largest
-    scratch = np.empty(tiles[0][1] * slots * queries, dtype=attn.dtype)
-    for lo, hi in tiles:
-        a = _tile(attn, lo, hi, slots, queries)
-        a_ts = np.moveaxis(a, 0, -2)
+        dq = np.empty(qf.shape, dtype=np.result_type(kf, q))
+    for lo, hi, a, g in _weight_tiles(qf, kf, vf.shape[-1], stats, bias):
+        a_ts, g_ts = np.moveaxis(a, 0, -2), np.moveaxis(g, 0, -2)
         y_tile = vf[lo:hi] @ a_ts if yf is None else yf[lo:hi]
         inner = np.einsum("...ds,...ds->...s", dyf[lo:hi], y_tile)
-        np.matmul(dyf[lo:hi], np.swapaxes(a_ts, -2, -1), out=dv[lo:hi])
-        g = _tile(scratch, 0, hi - lo, slots, queries)
-        g_ts = np.moveaxis(g, 0, -2)
         np.matmul(np.swapaxes(vf[lo:hi], -2, -1), dyf[lo:hi], out=g_ts)
+        np.matmul(dyf[lo:hi], np.swapaxes(a_ts, -2, -1), out=vf[lo:hi])
         g -= inner
         g *= a
         if on_tile is not None:
             on_tile(lo, hi, g)
         if kf is not None:
             np.matmul(kf[lo:hi], g_ts, out=dq[lo:hi])
-            np.matmul(qf[lo:hi], np.swapaxes(g_ts, -2, -1), out=dk[lo:hi])
-    dv = dv.reshape(v.shape)
+            np.matmul(qf[lo:hi], np.swapaxes(g_ts, -2, -1), out=kf[lo:hi])
+    dv = vf.reshape(v.shape)
     if kf is None:
         return None, None, dv
-    return dq.reshape(q.shape), dk.reshape(k.shape), dv
+    return dq.reshape(q.shape), kf.reshape(k.shape), dv
 
 
 def window_slices(k: int, h_out: int, w_out: int, stride: int = 1):

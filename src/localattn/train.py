@@ -133,15 +133,6 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
-             batch_size: int = 256) -> float:
-    hits = 0
-    for start in range(0, len(images), batch_size):
-        logits, _ = model.forward(images[start:start + batch_size], training=False)
-        hits += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
-    return hits / len(images)
-
-
 @dataclass
 class TrainConfig(ConfigRecord):
     epochs: int = 10
@@ -153,6 +144,17 @@ class TrainConfig(ConfigRecord):
     label_smoothing: float = 0.1
     augment: bool = True
     seed: int = 0
+
+
+def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
+             batch_size: int = TrainConfig.batch_size) -> float:
+    """Accuracy of inference forwards over `images`, `batch_size` at a
+    time; the peak memory grows with the batch size."""
+    hits = 0
+    for start in range(0, len(images), batch_size):
+        logits, _ = model.forward(images[start:start + batch_size], training=False)
+        hits += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
+    return hits / len(images)
 
 
 TRAIN_CONFIG_KEYS = frozenset(f.key for f in TrainConfig.config_fields())
@@ -257,7 +259,7 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
                 raise diverged("non-finite loss")
             epoch_loss += loss * len(xb)
         epoch_loss /= len(train_x)
-        val_acc = evaluate(model, val_x, val_y)
+        val_acc = evaluate(model, val_x, val_y, config.batch_size)
         lr_now = lr_at(schedule, min(state.step, schedule.total_steps))
         history.rows.append((epoch + 1, state.step, lr_now, epoch_loss, val_acc))
         snapshot = {k: v.copy() for k, v in full_state(model).items()}
@@ -278,7 +280,7 @@ def train_loop(spec: ModelSpec, source: DatasetSource, config: TrainConfig,
     backup = {k: v.copy() for k, v in params.items()}
     for name, arr in params.items():
         arr[...] = state.ema[name]
-    history.ema_val_acc = evaluate(model, val_x, val_y)
+    history.ema_val_acc = evaluate(model, val_x, val_y, config.batch_size)
     for name, arr in params.items():
         arr[...] = backup[name]
     return history

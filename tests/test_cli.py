@@ -65,6 +65,15 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_out_of_memory_fails_cleanly(self, monkeypatch, capsys):
+        def count(args):
+            raise MemoryError("Unable to allocate 64.0 GiB for an array")
+        monkeypatch.setitem(cli._COMMANDS, "count", count)
+        code, _, err = _cli(["count"], capsys)
+        assert code == 1
+        assert err.startswith("error: out of memory: Unable to allocate 64.0 GiB")
+        assert err.count("\n") == 1
+
     def test_single_precision_gradcheck_refused(self, capsys):
         code, _, err = _cli(["gradcheck", "--precision", "f32"], capsys)
         assert code == 1

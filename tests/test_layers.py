@@ -77,6 +77,15 @@ def _owned_bytes(ctx) -> int:
     return sum(owners.values())
 
 
+def _largest_per_item(ctx, items: int) -> float:
+    """Elements per attention item of the largest array in a nested ctx."""
+    if isinstance(ctx, np.ndarray):
+        return ctx.size / items
+    if isinstance(ctx, (tuple, list)):
+        return max((_largest_per_item(c, items) for c in ctx), default=0.0)
+    return 0.0
+
+
 def _traced_peaks_mib(layer, shape):
     """Peak traced allocation above the start of a float32 training forward
     and of its backward, in MiB. numpy reports its buffers to tracemalloc,
@@ -297,26 +306,39 @@ class TestLocalAttention:
         np.testing.assert_allclose(y1, y2, atol=1e-12)
 
     def test_saved_context_holds_no_window_copies(self):
-        # the input and the block weights, not k*k-sized copies of K and V
+        # the input and each query's softmax max and sum: 0.96 MiB here, not
+        # k*k-sized copies of K and V nor the 9.6 MiB of weights (10.34 MiB
+        # while the weights were saved)
         layer = LocalAttention(64, 64, k=7, heads=8, encoding_mode="relative",
                                rng=np.random.default_rng(19))
         x = np.random.default_rng(20).standard_normal((1, 64, 56, 56)).astype(np.float32)
         _, ctx = layer.forward(x, training=True)
-        assert _owned_bytes(ctx) < 12 * 2 ** 20
+        assert _owned_bytes(ctx) < 2 * 2 ** 20
         attn = layer.window_weights(ctx)
         assert attn.shape == (1, 8, 56, 56, 49)
         np.testing.assert_allclose(attn.sum(-1), 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_saved_context_holds_no_weights(self, mode):
+        # block_attention's items are n*heads*4*4 blocks of S = 16 queries
+        # over T = 8*8 keys; the context keeps the input and 2*S statistics
+        # per item, nothing of T*S per item like the weights or logits
+        n, h, w, k, heads = SHAPES["16x16-k5-tiles"]
+        layer = _attn(mode, k=k, heads=heads, d_in=4, d_out=4 * heads, seed=41)
+        x = np.random.default_rng(42).standard_normal((n, 4, h, w))
+        _, ctx = layer.forward(x, training=True)
+        assert _largest_per_item(ctx, n * heads * 4 * 4) < 8 * 8 * 16
+
     def test_passes_allocate_no_logits_sized_temporary(self):
-        # the logits and weights (10 MiB here) exist once, in the saved
-        # tile-major buffer; the K and V windows (5 MiB each) are the largest
-        # temporaries. Measured 22.9 MiB forward and 23.7 MiB backward; with
-        # a logits-sized bias and cotangent it was 39.8 and 37.4 MiB, and
-        # 29.0 MiB backward while every backward temporary lived until the
-        # return.
+        # the logits and weights (10 MiB here) exist one tile at a time; the K
+        # and V windows (5 MiB each) are the largest temporaries, and
+        # backward writes dK and dV over them. Measured 13.8 MiB forward and
+        # 16.3 MiB backward; with the weights saved whole it was 22.9 and
+        # 23.7 MiB, and with a logits-sized bias and cotangent 39.8 and 37.4
+        # MiB.
         layer = LocalAttention(64, 64, k=7, heads=8, rng=np.random.default_rng(37))
         forward, backward = _traced_peaks_mib(layer, (1, 64, 56, 56))
-        assert forward < 26.0
+        assert forward < 16.0
         assert backward < 26.0
 
 
@@ -437,30 +459,33 @@ class TestAttentionStem:
             _stem(27).forward(np.zeros((1, 3, 10, 8)))
 
     def test_saved_context_holds_no_copy_of_q_k_or_v(self):
-        # the block-layout input, the weights and the pre-norm block output y,
-        # plus the norm's x_hat and the pool's argmax: 50.5 MiB at this shape.
-        # Backward projects Q, K and V (24 MiB here) again from the 3-channel
-        # input rather than keep them.
+        # the block-layout input, each query's softmax max and sum and the
+        # pre-norm block output y, plus the norm's x_hat and the pool's
+        # argmax: 22.5 MiB at this shape (50.5 MiB while the 32 MiB of
+        # weights were saved). Backward projects Q, K and V (24 MiB here)
+        # again from the 3-channel input rather than keep them.
         stem = AttentionStem(3, 16, rng=np.random.default_rng(35))
         x = np.random.default_rng(36).standard_normal((128, 3, 32, 32)).astype(np.float32)
         _, ctx = stem.forward(x, training=True)
         *own, bn_ctx, pool_ctx = ctx
-        assert _owned_bytes(own + list(bn_ctx) + list(pool_ctx)) < 51 * 2 ** 20
+        assert _owned_bytes(own + list(bn_ctx) + list(pool_ctx)) < 24 * 2 ** 20
         block_shape = (128, 8, 8, 4, 4, 16)                    # one of Q, K, V or y
+        # nothing of T*S = 16*16 per item of block_attention, one item per
+        # image, block and head
+        assert _largest_per_item(ctx, 128 * 8 * 8 * 4) < 16 * 16
         assert [a.shape for a in own if a.shape == block_shape] == [block_shape]
         assert not any(a.shape == (128, 16, 32, 32) for a in own)
 
     def test_passes_allocate_no_logits_sized_temporary(self):
-        # the weights (32 MiB here) exist once, in the saved tile-major
-        # buffer. Measured 82.5 MiB forward (Q, K, V, y, the weights and the
-        # norm and pool temporaries) and 47.3 MiB backward; with a second
-        # logits-sized copy it was 97.5 and 108.5 MiB, and 76.5 MiB backward
-        # while the norm's and pool's contexts and every backward temporary
-        # lived until the return.
+        # the weights (32 MiB here) exist one tile at a time, and backward
+        # writes dK and dV over K and V. Measured 54.5 MiB forward (Q, K, V,
+        # y and the norm and pool temporaries) and 31.6 MiB backward; with
+        # the weights saved whole it was 82.5 and 47.3 MiB, and with a
+        # second logits-sized copy 97.5 and 108.5 MiB.
         stem = AttentionStem(3, 16, rng=np.random.default_rng(38))
         forward, backward = _traced_peaks_mib(stem, (128, 3, 32, 32))
-        assert forward < 88.0
-        assert backward < 52.0
+        assert forward < 58.0
+        assert backward < 34.0
 
 
 def _max_pool_backward_naive(x, dy, window, stride):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from localattn.errors import DegenerateGroupError, UnsupportedExtentError
-from localattn.tensorops import (TILE_BYTES, block_attention, block_attention_vjp, pad_hw,
-                                 sliding_windows, softmax_axis, softmax_vjp, untile,
+from localattn.tensorops import (TILE_BYTES, block_attention, block_attention_vjp, block_weights,
+                                 pad_hw, sliding_windows, softmax_axis, softmax_vjp,
                                  window_slices, window_validity)
 
 
@@ -172,44 +172,47 @@ class TestBlockAttentionTiles:
         # leading axes (2, items/2) where they split, to flatten two of them
         lead = (2, items // 2) if items % 2 == 0 else (items,)
         def shaped(t):
-            return None if t is None else t.reshape(lead + t.shape[1:])
+            return None if t is None else t.reshape(lead + t.shape[1:]).copy()
+        def tile_bias(lo, hi, out):
+            return bias[:, lo:hi]
         want_attn, want_y, want_dq, want_dk, want_dv, want_g = _dense_attention(q, k, v, bias, dy)
 
-        y, attn = block_attention(shaped(q), shaped(k), shaped(v),
-                                  lambda lo, hi: bias[:, lo:hi])
+        y, stats = block_attention(shaped(q), shaped(k), shaped(v), tile_bias)
         assert y.shape == lead + (v.shape[1], queries)
+        assert stats.shape == (2, items, queries)
         np.testing.assert_allclose(y.reshape(want_y.shape), want_y, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(untile(attn, slots, queries), want_attn, rtol=0, atol=1e-12)
-        # tile by tile, the buffer holds (T, items, S) blocks back to back
-        c = _items_per_tile(slots, queries)
-        for lo in range(0, items, c):
-            hi = min(lo + c, items)
-            tile = attn[lo * slots * queries:hi * slots * queries].reshape(slots, hi - lo, queries)
-            np.testing.assert_allclose(tile, want_attn[:, lo:hi], rtol=0, atol=1e-12)
+        attn = block_weights(shaped(q), shaped(k), shaped(v), stats, tile_bias)
+        np.testing.assert_allclose(attn, want_attn, rtol=0, atol=1e-12)
 
         seen = []
+        key, value = shaped(k), shaped(v)
         dq, dk, dv = block_attention_vjp(
-            shaped(q), shaped(k), shaped(v), attn, y, shaped(dy),
+            shaped(q), key, value, stats, y, shaped(dy), tile_bias,
             lambda lo, hi, g: seen.append((lo, hi, g.copy())))
+        c = _items_per_tile(slots, queries)
         assert [(lo, hi) for lo, hi, _ in seen] == [
             (lo, min(lo + c, items)) for lo in range(0, items, c)]
         got_g = np.concatenate([g for _, _, g in seen], axis=1)
         np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dv.reshape(want_dv.shape), want_dv, rtol=0, atol=1e-12)
+        # dk and dv are written over k and v
+        assert np.shares_memory(dv, value)
         if keyless:
             assert dq is None and dk is None
         else:
+            assert np.shares_memory(dk, key)
             np.testing.assert_allclose(dq.reshape(want_dq.shape), want_dq, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dk.reshape(want_dk.shape), want_dk, rtol=0, atol=1e-12)
-        # y recomputed from the weights gives the same cotangents
-        again = block_attention_vjp(shaped(q), shaped(k), shaped(v), attn, None, shaped(dy))
+        # y recomputed from the rebuilt weights gives the same cotangents
+        again = block_attention_vjp(shaped(q), shaped(k), shaped(v), stats, None, shaped(dy),
+                                    tile_bias)
         np.testing.assert_array_equal(again[2], dv)
 
     def test_degenerate_group_in_the_last_tile_raises(self):
         q, k, v, bias, dy = _tile_case("partial-last-tile", masked=True, keyless=False)
         bias[:, -1, 3] = -np.inf                     # one group of the last item
         with pytest.raises(DegenerateGroupError, match="in 1 group"):
-            block_attention(q, k, v, lambda lo, hi: bias[:, lo:hi])
+            block_attention(q, k, v, lambda lo, hi, out: bias[:, lo:hi])
 
 
 class TestExtractNeighborhood:

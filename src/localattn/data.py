@@ -84,10 +84,25 @@ def read_cifar10_file(path: str):
     return images, labels
 
 
-def _standardize(train_x: np.ndarray, val_x: np.ndarray):
+def _split(x: np.ndarray, y: np.ndarray, source: DatasetSource, scale: float = 1.0):
+    """((train images, train labels), (val images, val labels)) from images in
+    source order: the first `limit` (default: all but the validation share)
+    train and the next `val_fraction * limit` validate, both as float32
+    x / scale standardized per channel with the training portion's
+    statistics."""
+    limit = source.limit or int(len(x) / (1 + source.val_fraction))
+    n_val = max(1, round(limit * source.val_fraction))
+    if limit + n_val > len(x):
+        limit = int(len(x) / (1 + source.val_fraction))
+        n_val = len(x) - limit
+    train_x, val_x = (np.divide(part, scale, dtype=np.float32)
+                      for part in (x[:limit], x[limit:limit + n_val]))
     mean = train_x.mean(axis=(0, 2, 3), keepdims=True)
     std = train_x.std(axis=(0, 2, 3), keepdims=True) + 1e-7
-    return (train_x - mean) / std, (val_x - mean) / std
+    for part in (train_x, val_x):
+        part -= mean
+        part /= std
+    return (train_x, y[:limit]), (val_x, y[limit:limit + n_val])
 
 
 def load_cifar10(source: DatasetSource):
@@ -115,16 +130,7 @@ def load_cifar10(source: DatasetSource):
     labels = np.concatenate(labels_parts)
 
     order = np.random.default_rng(source.seed).permutation(len(images))
-    images, labels = images[order], labels[order]
-    limit = source.limit or int(len(images) / (1 + source.val_fraction))
-    n_val = max(1, round(limit * source.val_fraction))
-    if limit + n_val > len(images):
-        limit = int(len(images) / (1 + source.val_fraction))
-        n_val = len(images) - limit
-    train_x = images[:limit].astype(np.float32) / 255.0
-    val_x = images[limit:limit + n_val].astype(np.float32) / 255.0
-    train_x, val_x = _standardize(train_x, val_x)
-    return (train_x, labels[:limit]), (val_x, labels[limit:limit + n_val])
+    return _split(images[order], labels[order], source, scale=255.0)
 
 
 FAMILY_COLORS = (
@@ -171,15 +177,7 @@ def load_synthetic(source: DatasetSource):
     maker = {"blocks": synthetic_blocks, "separable": synthetic_separable}.get(source.task)
     if maker is None:
         raise ConfigurationError(f"unknown synthetic task {source.task!r}")
-    total = source.size
-    x, y = maker(total, seed=source.seed)
-    limit = source.limit or int(total / (1 + source.val_fraction))
-    n_val = max(1, round(limit * source.val_fraction))
-    if limit + n_val > total:
-        limit = int(total / (1 + source.val_fraction))
-        n_val = total - limit
-    train_x, val_x = _standardize(x[:limit], x[limit:limit + n_val])
-    return (train_x, y[:limit]), (val_x, y[limit:limit + n_val])
+    return _split(*maker(source.size, seed=source.seed), source)
 
 
 def load_data(source: DatasetSource):

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, PaddingError, UnsupportedExtentError
-from .tensorops import (block_attention, block_attention_vjp, block_weights, pad_hw, softmax_axis,
-                        softmax_vjp, window_slices, window_validity)
+from .tensorops import (block_attention, block_attention_vjp, pad_hw, softmax_axis, softmax_vjp,
+                        window_slices, window_validity)
 
 MODES = ("none", "absolute", "relative", "relative_only")
 
@@ -206,38 +206,20 @@ def _key_windows(t: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks) -> np.ndar
 
 
 def _scatter_windows(tw: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, out: np.ndarray):
-    """Adjoint of _key_windows into `out`, (..., d, H, W): each window slot
-    adds into the pixel it was read from."""
-    t = np.moveaxis(tw, -2, -4)                                    # (..., d, BH, BW, T)
-    t = t.reshape(t.shape[:-1] + (rows.span, cols.span))
-    if rows.blocks * cols.blocks == 1:
-        out[...] = t[..., 0, 0, :, :]
-        return
-    part = np.zeros(t.shape[:-4] + (rows.blocks, rows.span, out.shape[-1]), dtype=t.dtype)
-    for j, c in enumerate(cols.start):
-        part[..., c:c + cols.span] += t[..., j, :, :]
+    """Adjoint of _key_windows into `out`, (..., d, H, W): each block's window
+    adds into the pixels it was read from."""
+    t = tw.reshape(tw.shape[:-1] + (rows.span, cols.span))
     out[...] = 0.0
     for i, r in enumerate(rows.start):
-        out[..., r:r + rows.span, :] += part[..., i, :, :]
+        for j, c in enumerate(cols.start):
+            out[..., r:r + rows.span, c:c + cols.span] += t[..., i, j, :, :, :]
 
 
-# axis-major order of (X, n, heads, BH, BW, bh, bw) arrays: rows, columns
-_AXIS_MAJOR = ((3, 5, 0, 1, 2, 4, 6), (4, 6, 0, 1, 2, 3, 5))
-
-
-def _axis_major(t: np.ndarray, axis: int) -> np.ndarray:
-    """(X, n, heads, BH, BW, bh, bw) -> C-contiguous (B, b, X, M): B and b
-    index the blocks and in-block positions along `axis` (0 rows, 1 columns)
-    and M the rest, so that per-axis tables act by batched matmul."""
-    t = t.transpose(_AXIS_MAJOR[axis])
-    return t.reshape(t.shape[:3] + (-1,))
-
-
-def _from_axis_major(t: np.ndarray, axis: int, shape) -> np.ndarray:
-    """View of an axis-major (B, b, X, M) array as `shape`, (X, n, heads, BH,
-    BW, bh, bw): the inverse of _axis_major."""
-    order = _AXIS_MAJOR[axis]
-    return t.reshape([shape[i] for i in order]).transpose(np.argsort(order))
+# einsum subscripts of the offset terms: the row (axis 0) or column table,
+# (blocks, b, span, d_head/2) along that axis, q's half in block layout, and
+# the term, indexed n, heads, BH (i), BW (j), d, bh (a), bw (c) and slot t
+_TABLE = ("iatd", "jctd")
+_Q, _TERM = "nhijdac", "tnhijac"
 
 
 class LocalAttention:
@@ -265,14 +247,17 @@ class LocalAttention:
     (relative modes) plus a mask that is 0 within k//2 of the query and
     -inf beyond; the row and column terms, (span, L, S) each for the L =
     n*heads*BH*BW items, are kept apart and added together into each tile
-    of block_attention, so no logits-sized bias exists. ctx keeps the input
-    and block_attention's softmax statistics, not the weights; backward
-    projects Q, K and V and builds the two terms again, lets the VJP
-    rebuild the weights tile by tile and write dK and dV over the K and V
-    windows, takes the embedding gradients from each tile's per-axis sums
+    of block_attention, so no logits-sized bias exists. Each term is one
+    einsum of the axis's offset table, (BH, bh, span, d_head/2) for rows,
+    with q's half in block layout, and so are its two gradients. ctx keeps
+    the input and block_attention's softmax statistics, not the weights;
+    backward projects Q, K and V and builds the two terms again, lets the
+    VJP rebuild the weights tile by tile and write dK and dV over the K and
+    V windows, takes the embedding gradients from each tile's per-axis sums
     of the logit cotangent and frees each full-size temporary after its
-    last use. window_weights rebuilds the weights from the saved input and
-    reads them per pixel and slot.
+    last use. window_weights runs block_attention on the saved input again
+    with one-hot values, whose output is the weights, and reads them per
+    pixel and slot.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, heads: int,
@@ -358,14 +343,12 @@ class LocalAttention:
         mask = plan.mask.reshape((plan.span, 1, 1) + ((plan.blocks, 1, plan.b, 1) if axis == 0
                                                       else (1, plan.blocks, 1, plan.b)))
         mask = mask.astype(q.dtype)
-        shape = (plan.span,) + q.shape[:-2] + (rows.b, cols.b)
         if self.row_emb is None:
-            term = np.broadcast_to(mask, shape)
+            term = np.broadcast_to(mask, (plan.span,) + q.shape[:-2] + (rows.b, cols.b))
         else:
-            q_part = self._q_part(q, rows, cols, axis)
-            term = np.empty(shape, dtype=q.dtype)
-            by_axis = self._offset_table(axis, plan) @ _axis_major(q_part, axis)
-            np.add(_from_axis_major(by_axis, axis, term.shape), mask, out=term)
+            term = np.einsum(f"{_TABLE[axis]},{_Q}->{_TERM}", self._offset_table(axis, plan),
+                             self._q_part(q, rows, cols, axis), optimize=True)
+            term += mask
         return term.reshape(plan.span, -1, rows.b * cols.b)
 
     def _offset_table(self, axis: int, plan: _AxisBlocks) -> np.ndarray:
@@ -375,10 +358,8 @@ class LocalAttention:
 
     def _q_part(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, axis: int):
         """View of the half of q's channels that meets the row (axis 0) or
-        column offset embeddings, as (d_head/2, n, heads, BH, BW, bh, bw)."""
-        split = self.d_head // 2
-        part = q.reshape(q.shape[:-1] + (rows.b, cols.b))
-        return np.moveaxis(part[..., axis * split:(axis + 1) * split, :, :], -3, 0)
+        column offset embeddings, as (n, heads, BH, BW, d_head/2, bh, bw)."""
+        return q.reshape(q.shape[:-2] + (2, self.d_head // 2, rows.b, cols.b))[..., axis, :, :, :]
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 4 or x.shape[1] != self.d_in:
@@ -395,13 +376,17 @@ class LocalAttention:
         return out.reshape(n, self.d_out, height, width), (x_in, stats)
 
     def window_weights(self, ctx) -> np.ndarray:
-        """The weights of a forward, rebuilt from its context, as (n, heads,
-        H, W, k*k): slot u*k + v holds the pixel at offset (u - k//2, v -
-        k//2); out-of-image slots are 0."""
-        x_in, stats = ctx
+        """The weights of a forward, rebuilt from its input, as (n, heads, H,
+        W, k*k): slot u*k + v holds the pixel at offset (u - k//2, v - k//2);
+        out-of-image slots are 0. block_attention returns them as its output
+        for one-hot values, each output element one weight times 1 plus
+        zeros, so exactly."""
+        x_in, _ = ctx
         n, _, height, width = x_in.shape
         rows, cols, q, key, v = self._blocks(x_in)
-        attn = block_weights(q, key, v, stats, self._bias(q, rows, cols))
+        slots = v.shape[-1]
+        one_hot = np.broadcast_to(np.eye(slots, dtype=v.dtype), v.shape[:-2] + (slots, slots))
+        attn, _ = block_attention(q, key, one_hot, self._bias(q, rows, cols))
         index = []
         for side, plan in ((height, rows), (width, cols)):
             pixel = np.arange(side)
@@ -410,11 +395,11 @@ class LocalAttention:
             slot = pixel + np.arange(self.k)[:, None] - self.k // 2 - plan.start[block]
             index.append((np.clip(slot, 0, plan.span - 1), block, pixel % plan.b))
         (tr, bi, si), (tc, bj, sj) = index
-        grid = attn.reshape((rows.span, cols.span, n, self.heads, rows.blocks, cols.blocks,
+        grid = attn.reshape((n, self.heads, rows.blocks, cols.blocks, rows.span, cols.span,
                              rows.b, cols.b))
-        w = grid[tr[:, None, :, None], tc[None, :, None, :], :, :,
-                 bi[:, None], bj, si[:, None], sj]                      # (k, k, H, W, n, heads)
-        w = w.transpose(4, 5, 2, 3, 0, 1).reshape(n, self.heads, height, width, -1)
+        w = grid[:, :, bi[:, None], bj, tr[:, None, :, None], tc[None, :, None, :],
+                 si[:, None], sj]                                       # (n, heads, k, k, H, W)
+        w = w.transpose(0, 1, 4, 5, 2, 3).reshape(n, self.heads, height, width, -1)
         return np.where(window_validity(height, width, self.k), w, 0.0)
 
     def backward(self, dy: np.ndarray, ctx):
@@ -466,16 +451,15 @@ class LocalAttention:
         dq."""
         grads = {}
         for axis, (plan, name) in enumerate(((rows, "row_emb"), (cols, "col_emb"))):
-            d_term = _axis_major(sums[axis], axis)                         # (B, b, span, M)
             table = self._offset_table(axis, plan)
             d_part = self._q_part(dq, rows, cols, axis)
-            d_part += _from_axis_major(np.swapaxes(table, -2, -1) @ d_term, axis,
-                                       d_part.shape)
-            q_part = _axis_major(self._q_part(q, rows, cols, axis), axis)
+            d_part += np.einsum(f"{_TABLE[axis]},{_TERM}->{_Q}", table, sums[axis], optimize=True)
+            d_table = np.einsum(f"{_TERM},{_Q}->{_TABLE[axis]}", sums[axis],
+                                self._q_part(q, rows, cols, axis), optimize=True)
             # masked slots have a zero logit cotangent, so the rows they were
             # clipped to receive nothing from them
             grads[name] = np.zeros_like(getattr(self, name))
-            np.add.at(grads[name], plan.emb_row, d_term @ np.swapaxes(q_part, -2, -1))
+            np.add.at(grads[name], plan.emb_row, d_table)
         return grads
 
 
@@ -562,6 +546,39 @@ class BatchNorm2d:
                     "beta": d_beta.astype(self.beta.dtype)}
 
 
+class Sequential:
+    """Composite layer: a named chain sharing the layer protocol."""
+
+    def __init__(self, named_layers):
+        self.named_layers = list(named_layers)
+
+    @property
+    def params(self):
+        out = {}
+        for name, layer in self.named_layers:
+            for key, arr in layer.params.items():
+                out[f"{name}.{key}"] = arr
+        return out
+
+    def forward(self, x, training: bool = False):
+        ctxs = []
+        for _, layer in self.named_layers:
+            x, ctx = layer.forward(x, training)
+            ctxs.append(ctx)
+        return x, ctxs
+
+    def backward(self, dy, ctxs):
+        """Consumes ctxs, as GradTape.backward consumes its tape: each child's
+        context is popped and released once that child's backward returns."""
+        grads = {}
+        d = dy
+        for name, layer in reversed(self.named_layers):
+            d, layer_grads = layer.backward(d, ctxs.pop())
+            for key, g in layer_grads.items():
+                grads[f"{name}.{key}"] = g
+        return d, grads
+
+
 class AttentionStem:
     """First-stage layer: 4-head attention inside disjoint 4x4 blocks whose
     values mix M matrices by position within the block, followed by batch norm
@@ -576,12 +593,13 @@ class AttentionStem:
     position (a, b), and Q, K and V are projected from it straight into (n,
     hb, wb, heads, d_head, 16), n*hb*wb*heads items of 16 key slots by 16
     query slots. Only the block output y goes back to NCHW, for the `norm`
-    and `pool` children. ctx is a list of the block input, block_attention's
-    softmax statistics (not the weights), y and the children's contexts,
-    which backward consumes. Backward projects Q, K and V again, which an
-    image's few input channels make cheaper than keeping them, lets the VJP
-    rebuild the weights tile by tile and write dK and dV over K and V, and
-    frees each full-size temporary after its last use.
+    and `pool` children, which run as one Sequential. ctx is a list of the
+    block input, block_attention's softmax statistics (not the weights), y
+    and the children's contexts, which backward consumes. Backward projects
+    Q, K and V again, which an image's few input channels make cheaper than
+    keeping them, lets the VJP rebuild the weights tile by tile and write dK
+    and dV over K and V, and frees each full-size temporary after its last
+    use.
     """
 
     WINDOW = 4
@@ -606,18 +624,13 @@ class AttentionStem:
         self.nu = (rng.standard_normal((mixtures, d_emb)) * std).astype(dtype)
         self.norm = BatchNorm2d(d_out, decay=bn_decay, dtype=dtype)
         self.pool = MaxPool(self.WINDOW, self.WINDOW)
+        self.tail = Sequential([("norm", self.norm), ("pool", self.pool)])
+        self.named_layers = self.tail.named_layers
 
     @property
     def params(self):
-        out = {"W_Q": self.W_Q, "W_K": self.W_K, "W_V": self.W_V,
-               "emb_row": self.emb_row, "emb_col": self.emb_col, "nu": self.nu}
-        for name, arr in self.norm.params.items():
-            out["norm." + name] = arr
-        return out
-
-    @property
-    def named_layers(self):
-        return [("norm", self.norm), ("pool", self.pool)]
+        return {"W_Q": self.W_Q, "W_K": self.W_K, "W_V": self.W_V, "emb_row": self.emb_row,
+                "emb_col": self.emb_col, "nu": self.nu, **self.tail.params}
 
     def mixture_weights(self) -> np.ndarray:
         """(4, 4, M) array of p(a,b,m); rows sum to one."""
@@ -652,16 +665,13 @@ class AttentionStem:
 
         attended = np.empty((x.shape[0], self.d_out, height, width), dtype=yb.dtype)
         _from_blocks(yb.reshape(yb.shape[:3] + (self.d_out, -1)), win, win, attended)
-        normed, bn_ctx = self.norm.forward(attended, training)
-        y, pool_ctx = self.pool.forward(normed, training)
-        return y, [xb, p, w_mixed, stats, yb, bn_ctx, pool_ctx]
+        y, tail_ctx = self.tail.forward(attended, training)
+        return y, [xb, p, w_mixed, stats, yb, *tail_ctx]
 
     def backward(self, dy: np.ndarray, ctx):
-        # the children's contexts are popped, as Sequential pops its
-        # children's, so the norm's x_hat is freed before the attention VJP
-        d_normed, _ = self.pool.backward(dy, ctx.pop())
-        d_attended, bn_grads = self.norm.backward(d_normed, ctx.pop())
-        del d_normed
+        # the tail pops its children's contexts off the end of ctx, so the
+        # norm's x_hat is freed before the attention VJP
+        d_attended, grads = self.tail.backward(dy, ctx)
         xb, p, w_mixed, stats, yb = ctx
         dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW).reshape(yb.shape)
         del d_attended
@@ -673,7 +683,6 @@ class AttentionStem:
         x_flat = xb.reshape(-1, self.d_in, slots)                          # (blocks, in, s)
         dq, dk, dv = (t.reshape(-1, self.d_out, slots) for t in (dq, dk, dv))
         x_t = np.swapaxes(x_flat, -2, -1)
-        grads = {"norm." + name: g for name, g in bn_grads.items()}
         grads["W_Q"] = (dq @ x_t).sum(axis=0)
         grads["W_K"] = (dk @ x_t).sum(axis=0)
         dxb = self.W_Q.T @ dq + self.W_K.T @ dk
@@ -769,9 +778,7 @@ class AvgPool2x2:
         return y, (x.shape, count)
 
     def backward(self, dy: np.ndarray, ctx):
-        x_shape, count = ctx
-        n, c, height, width = x_shape
-        h_out, w_out = dy.shape[2], dy.shape[3]
+        (_, _, height, width), count = ctx
         spread = np.repeat(np.repeat(dy / count, 2, axis=2), 2, axis=3)
         return spread[:, :, :height, :width], {}
 

@@ -26,7 +26,7 @@ from .autodiff import GradTape
 from .config import ConfigRecord
 from .errors import CheckpointError, ConfigurationError, ConstructionError, ResolutionError
 from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool, Linear,
-                     LocalAttention, MaxPool, ReLU, MODES)
+                     LocalAttention, MaxPool, ReLU, Sequential, MODES)
 
 BASE_WIDTHS = (64, 128, 256, 512)
 DEPTH_BLOCKS = {50: (3, 4, 6, 3), 38: (2, 3, 5, 2), 26: (1, 2, 4, 1)}
@@ -137,39 +137,6 @@ def write_config(path: str, mapping: dict[str, str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in mapping.items():
             fh.write(f"{key} = {value}\n")
-
-
-class Sequential:
-    """Composite layer: a named chain sharing the layer protocol."""
-
-    def __init__(self, named_layers):
-        self.named_layers = list(named_layers)
-
-    @property
-    def params(self):
-        out = {}
-        for name, layer in self.named_layers:
-            for key, arr in layer.params.items():
-                out[f"{name}.{key}"] = arr
-        return out
-
-    def forward(self, x, training: bool = False):
-        ctxs = []
-        for _, layer in self.named_layers:
-            x, ctx = layer.forward(x, training)
-            ctxs.append(ctx)
-        return x, ctxs
-
-    def backward(self, dy, ctxs):
-        """Consumes ctxs, as GradTape.backward consumes its tape: each child's
-        context is popped and released once that child's backward returns."""
-        grads = {}
-        d = dy
-        for name, layer in reversed(self.named_layers):
-            d, layer_grads = layer.backward(d, ctxs.pop())
-            for key, g in layer_grads.items():
-                grads[f"{name}.{key}"] = g
-        return d, grads
 
 
 def _instantiate(chain) -> list[tuple[str, object]]:
@@ -414,6 +381,9 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             manifest.append((name, shape, _DTYPE_CODES[code]))
     except struct.error as exc:
         raise CheckpointError(f"truncated checkpoint manifest: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"manifest name is not UTF-8 at byte offset {offset + exc.start}") from exc
     out = {}
     for name, shape, dtype in manifest:
         n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1

@@ -11,10 +11,9 @@ logits within TILE_BYTES, so a tile's logits, softmax and GEMMs stay in L2
 and no logits-sized array is allocated. Each tile's logits are written key
 slot first, so the softmax reduces over axis 0, into one tile-sized scratch
 that every tile reuses. The weights are not kept: block_attention returns
-each query's logit max and sum of exponentials, and block_attention_vjp and
-block_weights rebuild a tile's weights from them with the forward's ops in
-the forward's order, so bit for bit (FlashAttention's recomputation, arXiv
-2205.14135).
+each query's logit max and sum of exponentials, and block_attention_vjp
+rebuilds a tile's weights from them with the forward's ops in the forward's
+order, so bit for bit (FlashAttention's recomputation, arXiv 2205.14135).
 """
 
 from __future__ import annotations
@@ -93,20 +92,6 @@ def _logits(qf, kf, bias, lo, hi, out, spare):
         out += bias(lo, hi, spare)
 
 
-def _weight_tiles(qf, kf, slots, stats, bias):
-    """Yield (lo, hi, a, spare) per tile of block_attention: a the weights
-    of items lo:hi, exp(logits - max) / sum, rebuilt with the forward's ops
-    in the forward's order, so bit for bit as the forward computed them, and
-    spare a free scratch of the same shape. Both are reused by the next
-    tile."""
-    for lo, hi, a, spare in _tiles(qf.shape[0], slots, qf.shape[-1], qf.dtype):
-        _logits(qf, kf, bias, lo, hi, a, spare)
-        a -= stats[0, None, lo:hi]
-        np.exp(a, out=a)
-        a /= stats[1, None, lo:hi]
-        yield lo, hi, a, spare
-
-
 def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=None):
     """Attention of each block's S queries over its T keys, tile by tile.
 
@@ -120,8 +105,9 @@ def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=Non
     tile-sized scratch, the bias is added, the softmax is taken over axis 0
     in place and V @ attn is written into the tile's rows of y. Returns y,
     (..., d_v, S), and the softmax statistics, a (2, L, S) array of each
-    query's logit max and sum of exponentials, from which the VJP and
-    block_weights rebuild the weights.
+    query's logit max and sum of exponentials, from which the VJP rebuilds
+    the weights. With one-hot values, v = eye(T) broadcast over the items, y
+    is the (..., T, S) weights themselves, exactly.
     """
     qf, vf = _items(q), _items(v)
     kf = None if k is None else _items(k)
@@ -133,18 +119,6 @@ def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=Non
         softmax_axis(tile, 0, out=tile, stats=stats[:, None, lo:hi])
         np.matmul(vf[lo:hi], np.moveaxis(tile, 0, -2), out=y[lo:hi])
     return y.reshape(v.shape[:-1] + (queries,)), stats
-
-
-def block_weights(q, k, v, stats, bias=None) -> np.ndarray:
-    """block_attention's weights as one (T, L, S) array, rebuilt from its
-    inputs and statistics as the VJP rebuilds them."""
-    qf = _items(q)
-    kf = None if k is None else _items(k)
-    slots = v.shape[-1]
-    out = np.empty((slots, qf.shape[0], qf.shape[-1]), dtype=q.dtype)
-    for lo, hi, a, _ in _weight_tiles(qf, kf, slots, stats, bias):
-        out[:, lo:hi] = a
-    return out
 
 
 def block_attention_vjp(q, k, v, stats, y, dy, bias=None, on_tile=None):
@@ -165,7 +139,11 @@ def block_attention_vjp(q, k, v, stats, y, dy, bias=None, on_tile=None):
     yf = None if y is None else _items(y)
     if kf is not None:
         dq = np.empty(qf.shape, dtype=np.result_type(kf, q))
-    for lo, hi, a, g in _weight_tiles(qf, kf, vf.shape[-1], stats, bias):
+    for lo, hi, a, g in _tiles(qf.shape[0], vf.shape[-1], qf.shape[-1], qf.dtype):
+        _logits(qf, kf, bias, lo, hi, a, g)
+        a -= stats[0, None, lo:hi]
+        np.exp(a, out=a)
+        a /= stats[1, None, lo:hi]
         a_ts, g_ts = np.moveaxis(a, 0, -2), np.moveaxis(g, 0, -2)
         y_tile = vf[lo:hi] @ a_ts if yf is None else yf[lo:hi]
         inner = np.einsum("...ds,...ds->...s", dyf[lo:hi], y_tile)

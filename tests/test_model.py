@@ -209,6 +209,18 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(cut))
 
+    def test_non_utf8_name_rejected_with_its_offset(self, tmp_path):
+        path = str(tmp_path / "name.ckpt")
+        save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+        blob = bytearray(open(path, "rb").read())
+        name_at = len(CHECKPOINT_MAGIC) + 8 + 2         # magic, version and count, name length
+        assert blob[name_at:name_at + 1] == b"w"
+        blob[name_at] = 0xFF
+        bad = tmp_path / "bad_name.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"not UTF-8 at byte offset {name_at}"):
+            load_checkpoint(str(bad))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "trail.ckpt")
         save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})

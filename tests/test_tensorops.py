@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from localattn.errors import DegenerateGroupError, UnsupportedExtentError
-from localattn.tensorops import (TILE_BYTES, block_attention, block_attention_vjp, block_weights,
-                                 pad_hw, sliding_windows, softmax_axis, softmax_vjp,
-                                 window_slices, window_validity)
+from localattn.tensorops import (TILE_BYTES, block_attention, block_attention_vjp, pad_hw,
+                                 sliding_windows, softmax_axis, softmax_vjp, window_slices,
+                                 window_validity)
 
 
 def _in_image(i, j, u, v, k, height, width):
@@ -181,8 +181,11 @@ class TestBlockAttentionTiles:
         assert y.shape == lead + (v.shape[1], queries)
         assert stats.shape == (2, items, queries)
         np.testing.assert_allclose(y.reshape(want_y.shape), want_y, rtol=0, atol=1e-12)
-        attn = block_weights(shaped(q), shaped(k), shaped(v), stats, tile_bias)
-        np.testing.assert_allclose(attn, want_attn, rtol=0, atol=1e-12)
+        # with one-hot values, eye(T), y is the weights themselves
+        one_hot = np.broadcast_to(np.eye(slots), lead + (slots, slots))
+        attn, _ = block_attention(shaped(q), shaped(k), one_hot, tile_bias)
+        np.testing.assert_allclose(np.moveaxis(attn.reshape(items, slots, queries), 1, 0),
+                                   want_attn, rtol=0, atol=1e-12)
 
         seen = []
         key, value = shaped(k), shaped(v)

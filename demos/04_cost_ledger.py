@@ -9,7 +9,7 @@ convolution for local attention sheds roughly a third of both parameters
 and FLOPs at equal depth and width.
 """
 
-from localattn import ModelSpec, cost_parity, count_flops, ledger
+from localattn import ModelSpec, cost_parity, ledger
 
 print("totals at 224x224 input:")
 print(f"{'model':<28s} {'params (M)':>11s} {'flops (G)':>10s}")
@@ -21,7 +21,7 @@ for name, spec in (
                                        stem="attention_stem", k=7, heads=8,
                                        encoding_mode="relative")),
 ):
-    report = count_flops(spec, 224)
+    report = ledger(spec, 224)
     print(f"{name:<28s} {report.total_params / 1e6:>11.2f} "
           f"{report.total_flops / 1e9:>10.2f}")
 

@@ -91,6 +91,15 @@ class ConfigRecord:
         values = ((f, getattr(self, f.name)) for f in self.config_fields())
         return {f.key: f.format(value) for f, value in values if value is not None}
 
+    def require_positive(self, *names: str) -> None:
+        """Raise ConfigurationError for the first of the fields `names` whose
+        value is set and below 1."""
+        for name in names:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigurationError(
+                    f"{self.KEY_PREFIX}{name} must be at least 1, got {value}")
+
     @classmethod
     def from_mapping(cls, mapping: dict[str, str], **overrides):
         """The record from the keys of `mapping` that name its fields (other

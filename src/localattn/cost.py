@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool, Linear,
-                     LocalAttention, MaxPool, ReLU)
+from .errors import ConfigurationError
+from .layers import (MODES, AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool,
+                     Linear, LocalAttention, MaxPool, ReLU)
 from .model import Bottleneck, ModelSpec, plan
 
 CONVENTION = "macx2-v1"
@@ -83,6 +84,10 @@ class CostReport:
 
 def attention_unit_costs(d_in: int, d_out: int, k: int, heads: int, mode: str):
     """(params, positional params, flops per pixel) for one attention layer."""
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    if heads < 1:
+        raise ConfigurationError(f"heads must be at least 1, got {heads}")
     transforms = 2 if mode == "relative_only" else 3
     params = transforms * d_in * d_out
     positional = 2 * (2 * k - 1) * (d_out // heads) // 2 if mode in (
@@ -192,20 +197,6 @@ def ledger(spec: ModelSpec, resolution: int | None = None) -> CostReport:
     its layer plan without building it."""
     res = resolution or spec.input_resolution
     return CostReport(CONVENTION, _price_chain("", plan(spec), (3, res, res)))
-
-
-def _as_spec(model_or_spec) -> ModelSpec:
-    return model_or_spec if isinstance(model_or_spec, ModelSpec) else model_or_spec.spec
-
-
-def count_params(model_or_spec) -> CostReport:
-    """Parameter ledger; FLOPs are included at the spec's input resolution."""
-    return ledger(_as_spec(model_or_spec))
-
-
-def count_flops(model_or_spec, input_resolution: int | None = None) -> CostReport:
-    """FLOP ledger at the given resolution (defaults to the spec's)."""
-    return ledger(_as_spec(model_or_spec), input_resolution)
 
 
 @dataclass

@@ -59,6 +59,7 @@ class DatasetSource(ConfigRecord):
             raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigurationError(f"val_fraction must be in (0,1), got {self.val_fraction}")
+        self.require_positive("size", "limit")
 
 
 DATA_CONFIG_KEYS = frozenset(f.key for f in DatasetSource.config_fields())

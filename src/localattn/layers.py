@@ -420,10 +420,7 @@ class LocalAttention:
                 for axis, total in enumerate(sums):
                     items = total.reshape(total.shape[0], -1, grid.shape[-1])
                     grid.sum(axis=1 - axis, out=items[:, lo:hi])
-        dq, dk, dv = block_attention_vjp(q, key, v, stats, None, dyb,
-                                         self._bias(q, rows, cols), on_tile)
-        if dq is None:
-            dq = np.zeros_like(dyb)
+        dq, dk, dv = block_attention_vjp(q, key, v, stats, dyb, self._bias(q, rows, cols), on_tile)
         del key, v, dyb
         grads = {} if sums is None else self._offset_grads(q, dq, sums, rows, cols)
         del q, sums
@@ -589,17 +586,18 @@ class AttentionStem:
 
     The attention is tensorops.block_attention with no bias: each 4x4 block
     is one query block and its own key window. The d_in-channel input is
-    copied once to (n, hb, wb, d_in, 16), slot a*4 + b holding block
-    position (a, b), and Q, K and V are projected from it straight into (n,
-    hb, wb, heads, d_head, 16), n*hb*wb*heads items of 16 key slots by 16
-    query slots. Only the block output y goes back to NCHW, for the `norm`
-    and `pool` children, which run as one Sequential. ctx is a list of the
-    block input, block_attention's softmax statistics (not the weights), y
-    and the children's contexts, which backward consumes. Backward projects
-    Q, K and V again, which an image's few input channels make cheaper than
-    keeping them, lets the VJP rebuild the weights tile by tile and write dK
-    and dV over K and V, and frees each full-size temporary after its last
-    use.
+    copied to (n, hb, wb, d_in, 16), slot a*4 + b holding block position (a,
+    b), and Q, K and V are projected from it straight into (n, hb, wb, heads,
+    d_head, 16), n*hb*wb*heads items of 16 key slots by 16 query slots. Only
+    the block output y goes back to NCHW, for the `norm` and `pool`
+    children, which run as one Sequential. ctx is a list of the input,
+    block_attention's softmax statistics (not the weights) and the
+    children's contexts, which backward consumes. Backward rebuilds the
+    block input, the mixture and Q, K and V from the input and the
+    parameters, which an image's few input channels make cheaper than
+    keeping them, lets the VJP rebuild the weights and y tile by tile and
+    write dK and dV over K and V, and frees each full-size temporary after
+    its last use.
     """
 
     WINDOW = 4
@@ -638,14 +636,23 @@ class AttentionStem:
         logits = np.einsum("abe,me->abm", combined, self.nu, optimize=True)
         return softmax_axis(logits, -1)
 
-    def _project(self, xb: np.ndarray, w_mixed: np.ndarray):
-        """Q, K and V of a block-layout input, each (n, hb, wb, heads, d_head,
-        win*win). Every output costs d_in multiply-adds, so for an image
-        input this is cheaper to redo in backward than to keep."""
+    def _blocks(self, x: np.ndarray):
+        """The mixture weights p, (4, 4, M); the position-mixed value
+        transform w_mixed, (16, d_out, d_in); x in block layout, (n, hb, wb,
+        d_in, 16); and Q, K and V projected from it, each (n, hb, wb, heads,
+        d_head, 16). Every projected output costs d_in multiply-adds, so for
+        an image input these are cheaper to rebuild in backward than to
+        keep."""
+        win = self.WINDOW
+        p = self.mixture_weights().astype(x.dtype)                          # (4, 4, M)
+        w_mixed = np.einsum("abm,moi->aboi", p, self.W_V, optimize=True).reshape(
+            win * win, self.d_out, self.d_in)                               # (slot, out, in)
+        xb = _to_blocks(x, win, win)                                        # (n, hb, wb, in, s)
         slots = xb.shape[-1]
         shape = xb.shape[:3] + (self.heads, self.d_head, slots)
         v = np.einsum("soi,nis->nos", w_mixed, xb.reshape(-1, self.d_in, slots), optimize=True)
-        return (self.W_Q @ xb).reshape(shape), (self.W_K @ xb).reshape(shape), v.reshape(shape)
+        return (p, w_mixed, xb, (self.W_Q @ xb).reshape(shape), (self.W_K @ xb).reshape(shape),
+                v.reshape(shape))
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 4 or x.shape[1] != self.d_in:
@@ -656,27 +663,22 @@ class AttentionStem:
             raise PaddingError(
                 f"input {height}x{width} not divisible by {win}; pre-pad the image")
 
-        p = self.mixture_weights().astype(x.dtype)                          # (4, 4, M)
-        w_mixed = np.einsum("abm,moi->aboi", p, self.W_V, optimize=True).reshape(
-            win * win, self.d_out, self.d_in)                               # (slot, out, in)
-
-        xb = _to_blocks(x, win, win)                                        # (n, hb, wb, in, s)
-        yb, stats = block_attention(*self._project(xb, w_mixed))
-
+        yb, stats = block_attention(*self._blocks(x)[-3:])
         attended = np.empty((x.shape[0], self.d_out, height, width), dtype=yb.dtype)
         _from_blocks(yb.reshape(yb.shape[:3] + (self.d_out, -1)), win, win, attended)
+        del yb
         y, tail_ctx = self.tail.forward(attended, training)
-        return y, [xb, p, w_mixed, stats, yb, *tail_ctx]
+        return y, [x, stats, *tail_ctx]
 
     def backward(self, dy: np.ndarray, ctx):
         # the tail pops its children's contexts off the end of ctx, so the
         # norm's x_hat is freed before the attention VJP
         d_attended, grads = self.tail.backward(dy, ctx)
-        xb, p, w_mixed, stats, yb = ctx
-        dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW).reshape(yb.shape)
+        x, stats = ctx
+        dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW)
         del d_attended
-        q, key, v = self._project(xb, w_mixed)
-        dq, dk, dv = block_attention_vjp(q, key, v, stats, yb, dyb)
+        p, w_mixed, xb, q, key, v = self._blocks(x)
+        dq, dk, dv = block_attention_vjp(q, key, v, stats, dyb.reshape(q.shape))
         del q, key, v, dyb
 
         slots = xb.shape[-1]
@@ -691,8 +693,7 @@ class AttentionStem:
         d_wmixed = np.einsum("nos,nis->soi", dv, x_flat, optimize=True).reshape(
             self.WINDOW, self.WINDOW, self.d_out, self.d_in)
         del dv
-        n, hb, wb = xb.shape[:3]
-        dx = np.empty((n, self.d_in, hb * self.WINDOW, wb * self.WINDOW), dtype=dxb.dtype)
+        dx = np.empty(x.shape, dtype=dxb.dtype)
         _from_blocks(dxb.reshape(xb.shape), self.WINDOW, self.WINDOW, dx)
 
         grads["W_V"] = np.einsum("abm,aboi->moi", p, d_wmixed, optimize=True)

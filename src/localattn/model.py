@@ -90,6 +90,9 @@ class ModelSpec(ConfigRecord):
         if self.width_multiplier <= 0:
             raise ConfigurationError(
                 f"width_multiplier must be positive, got {self.width_multiplier}")
+        self.require_positive("heads", "stem_mixtures", "stem_d_emb")
+        if self.k < 1 or self.k % 2 == 0:
+            raise ConfigurationError(f"k must be odd and positive, got {self.k}")
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -131,12 +134,6 @@ def parse_config_text(text: str) -> dict[str, str]:
 def read_config(path: str) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def write_config(path: str, mapping: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in mapping.items():
-            fh.write(f"{key} = {value}\n")
 
 
 def _instantiate(chain) -> list[tuple[str, object]]:
@@ -235,10 +232,9 @@ class Bottleneck:
 class Model:
     """A built network: an ordered chain of named top-level layers."""
 
-    def __init__(self, spec: ModelSpec, named_layers, downsample_factor: int):
+    def __init__(self, spec: ModelSpec, named_layers):
         self.spec = spec
         self.named_layers = list(named_layers)
-        self.downsample_factor = downsample_factor
 
     params = Sequential.params
 
@@ -247,7 +243,7 @@ class Model:
         for one backward; an inference forward records none, so each context
         is freed as soon as its layer returns."""
         height, width = x.shape[2], x.shape[3]
-        f = self.downsample_factor
+        f = self.spec.downsample_factor
         if height % f or width % f:
             raise ResolutionError(
                 f"input {height}x{width} must be divisible by the model's "
@@ -325,7 +321,7 @@ def plan(spec: ModelSpec, rng: np.random.Generator | None = None, dtype=np.float
 def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
     """Instantiate the network the spec describes."""
     layers = _instantiate(plan(spec, np.random.default_rng(seed), dtype))
-    return Model(spec, layers, spec.downsample_factor)
+    return Model(spec, layers)
 
 
 CHECKPOINT_MAGIC = b"LATN"

@@ -121,32 +121,30 @@ def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=Non
     return y.reshape(v.shape[:-1] + (queries,)), stats
 
 
-def block_attention_vjp(q, k, v, stats, y, dy, bias=None, on_tile=None):
+def block_attention_vjp(q, k, v, stats, dy, bias=None, on_tile=None):
     """Cotangents (dq, dk, dv) of block_attention given its statistics and
-    bias, its output y (recomputed per tile from v and the weights when
-    None) and the cotangent dy, both (..., d_v, S); dq and dk are None when k
-    is. k and v are consumed: dk and dv are written over their item arrays,
-    each tile's after that tile's last read. Per tile: the weights are
-    rebuilt bit for bit into one tile-sized scratch, the bias built in a
-    second one; then the logit cotangent in that second scratch, dv, dq and
-    dk. `on_tile(lo, hi, g)`, if given, sees each tile's logit cotangent g,
-    (T, hi - lo, S), before the next tile overwrites it. The softmax VJP's
-    inner sum over key slots, sum_t attn * (V^T dy), is taken as sum_d dy *
-    y (the FlashAttention row-sum identity). Masked slots have attn == 0 and
-    get a zero logit cotangent."""
+    bias and the cotangent dy, (..., d_v, S); dk is None when k is, and dq
+    is then zero. k and v are consumed: dk and dv are written over their
+    item arrays, each tile's after that tile's last read. Per tile: the
+    weights are rebuilt bit for bit into one tile-sized scratch, the bias
+    built in a second one, and y recomputed as V @ attn; then the logit
+    cotangent in that second scratch, dv, dq and dk. `on_tile(lo, hi, g)`,
+    if given, sees each tile's logit cotangent g, (T, hi - lo, S), before the
+    next tile overwrites it. The softmax VJP's inner sum over key slots,
+    sum_t attn * (V^T dy), is taken as sum_d dy * y (the FlashAttention
+    row-sum identity). Masked slots have attn == 0 and get a zero logit
+    cotangent."""
     qf, vf, dyf = _items(q), _items(v), _items(dy)
     kf = None if k is None else _items(k)
-    yf = None if y is None else _items(y)
-    if kf is not None:
-        dq = np.empty(qf.shape, dtype=np.result_type(kf, q))
+    dq = (np.zeros(qf.shape, dtype=qf.dtype) if kf is None
+          else np.empty(qf.shape, dtype=np.result_type(kf, q)))
     for lo, hi, a, g in _tiles(qf.shape[0], vf.shape[-1], qf.shape[-1], qf.dtype):
         _logits(qf, kf, bias, lo, hi, a, g)
         a -= stats[0, None, lo:hi]
         np.exp(a, out=a)
         a /= stats[1, None, lo:hi]
         a_ts, g_ts = np.moveaxis(a, 0, -2), np.moveaxis(g, 0, -2)
-        y_tile = vf[lo:hi] @ a_ts if yf is None else yf[lo:hi]
-        inner = np.einsum("...ds,...ds->...s", dyf[lo:hi], y_tile)
+        inner = np.einsum("...ds,...ds->...s", dyf[lo:hi], vf[lo:hi] @ a_ts)
         np.matmul(np.swapaxes(vf[lo:hi], -2, -1), dyf[lo:hi], out=g_ts)
         np.matmul(dyf[lo:hi], np.swapaxes(a_ts, -2, -1), out=vf[lo:hi])
         g -= inner
@@ -156,10 +154,8 @@ def block_attention_vjp(q, k, v, stats, y, dy, bias=None, on_tile=None):
         if kf is not None:
             np.matmul(kf[lo:hi], g_ts, out=dq[lo:hi])
             np.matmul(qf[lo:hi], np.swapaxes(g_ts, -2, -1), out=kf[lo:hi])
-    dv = vf.reshape(v.shape)
-    if kf is None:
-        return None, None, dv
-    return dq.reshape(q.shape), kf.reshape(k.shape), dv
+    dk = None if kf is None else kf.reshape(k.shape)
+    return dq.reshape(q.shape), dk, vf.reshape(v.shape)
 
 
 def window_slices(k: int, h_out: int, w_out: int, stride: int = 1):
@@ -183,12 +179,12 @@ def window_validity(height: int, width: int, k: int) -> np.ndarray:
     return np.stack([inside[at] for _, _, at in window_slices(k, height, width)], axis=-1)
 
 
-def pad_hw(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
-    """Pad the trailing two (spatial) axes by `pad` on every side."""
+def pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad the trailing two (spatial) axes by `pad` on every side."""
     if pad == 0:
         return x
     widths = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(x, widths, constant_values=value)
+    return np.pad(x, widths)
 
 
 def sliding_windows(x_padded: np.ndarray, k: int) -> np.ndarray:

@@ -145,6 +145,9 @@ class TrainConfig(ConfigRecord):
     augment: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        self.require_positive("batch_size")
+
 
 def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
              batch_size: int = TrainConfig.batch_size) -> float:

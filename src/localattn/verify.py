@@ -74,17 +74,6 @@ def _attention_layer(rng: np.random.Generator, mode: str, k: int,
                           rng=rng, dtype=np.float64)
 
 
-def _attention_output(layer: LocalAttention, x: np.ndarray) -> np.ndarray:
-    y, _ = layer.forward(x, training=False)
-    return y
-
-
-def _attention_weights(layer: LocalAttention, x: np.ndarray) -> np.ndarray:
-    """(N, heads, H, W, k*k) softmax weights from a forward pass."""
-    _, ctx = layer.forward(x, training=False)
-    return layer.window_weights(ctx)
-
-
 def oracle_suite(seed: int = 0) -> SuiteResult:
     """Compare every composed layer against an independent per-element oracle."""
     rng = np.random.default_rng(seed)
@@ -148,7 +137,7 @@ def oracle_suite(seed: int = 0) -> SuiteResult:
                 layer = _attention_layer(rng, mode, k, heads, d_in)
                 h, w = int(rng.integers(4, 8)), int(rng.integers(4, 8))
                 x = rng.standard_normal((2, d_in, h, w))
-                y = _attention_output(layer, x)
+                y, _ = layer.forward(x)
                 want = ref.local_attention_reference(
                     x, layer.W_Q,
                     None if mode == "relative_only" else layer.W_K, layer.W_V,
@@ -247,7 +236,8 @@ def invariant_suite(seed: int = 0) -> SuiteResult:
     masked_exact = True
     for mode in MODES:
         layer = _attention_layer(rng, mode, 5, 2, 4)
-        attn = _attention_weights(layer, rng.standard_normal((2, 4, 6, 7)))
+        _, ctx = layer.forward(rng.standard_normal((2, 4, 6, 7)))
+        attn = layer.window_weights(ctx)
         sum_err = max(sum_err, float(np.max(np.abs(attn.sum(-1) - 1.0))))
         neg = min(neg, float(attn.min()))
         invalid = ~window_validity(6, 7, 5).reshape(1, 1, 6, 7, 25)
@@ -272,8 +262,8 @@ def invariant_suite(seed: int = 0) -> SuiteResult:
         for dst, src in enumerate(order):
             x_perm[:, :, members[dst][0], members[dst][1]] = \
                 x[:, :, members[src][0], members[src][1]]
-        y1 = _attention_output(layer, x)[:, :, i, j]
-        y2 = _attention_output(layer, x_perm)[:, :, i, j]
+        y1 = layer.forward(x)[0][:, :, i, j]
+        y2 = layer.forward(x_perm)[0][:, :, i, j]
         err = max(err, float(np.max(np.abs(y1 - y2))))
     suite.add("neighborhood permutation invariance (mode none)", err, 1e-9)
 
@@ -285,8 +275,8 @@ def invariant_suite(seed: int = 0) -> SuiteResult:
         layer = _attention_layer(rng, "relative", k, 2, 4)
         x = rng.standard_normal((1, 4, 12, 12))
         h = w = 12 - shift
-        y1 = _attention_output(layer, x[:, :, :h, :w])
-        y2 = _attention_output(layer, x[:, :, shift:, shift:])
+        y1, _ = layer.forward(x[:, :, :h, :w])
+        y2, _ = layer.forward(x[:, :, shift:, shift:])
         lo, hi = shift + half, 12 - shift - half
         err = max(err, float(np.max(np.abs(
             y1[:, :, lo:hi, lo:hi] - y2[:, :, lo - shift:hi - shift,
@@ -302,8 +292,7 @@ def invariant_suite(seed: int = 0) -> SuiteResult:
     layer_none.W_K[:] = layer_rel.W_K
     layer_none.W_V[:] = layer_rel.W_V
     x = rng.standard_normal((2, 4, 6, 7))
-    err = float(np.max(np.abs(_attention_output(layer_rel, x)
-                              - _attention_output(layer_none, x))))
+    err = float(np.max(np.abs(layer_rel.forward(x)[0] - layer_none.forward(x)[0])))
     suite.add("zero embeddings reduce relative to content-only", err, 1e-12)
 
     # 1x1 convolution is a per-pixel linear map
@@ -321,7 +310,7 @@ def invariant_suite(seed: int = 0) -> SuiteResult:
     want = ref.global_attention_reference(x, layer.W_Q, layer.W_K, layer.W_V,
                                           heads=2)
     suite.add("full-extent window equals global attention",
-              float(np.max(np.abs(_attention_output(layer, x) - want))), 1e-8)
+              float(np.max(np.abs(layer.forward(x)[0] - want))), 1e-8)
 
     # stem mixture weights: valid distribution per window position; singleton
     # mixture collapses to [1]; identical nu rows give the uniform distribution

@@ -23,8 +23,7 @@ from localattn.cost import (
     attention_unit_costs,
     conv_flops_per_pixel,
     cost_parity,
-    count_flops,
-    count_params,
+    ledger,
 )
 from localattn.data import DATA_CONFIG_KEYS, DatasetSource
 from localattn.model import MODEL_CONFIG_KEYS, ModelSpec, read_config
@@ -59,17 +58,17 @@ def _desk_run(config_name: str, mode: str, seed: int, **source_overrides) -> flo
 def test_criterion_1_parameter_count_reproduction():
     for depth, want, tol in ((26, 13.7e6, 0.02), (38, 19.6e6, 0.02),
                              (50, 25.6e6, 0.01)):
-        got = count_params(ModelSpec(depth=depth)).total_params
+        got = ledger(ModelSpec(depth=depth)).total_params
         assert abs(got - want) / want < tol, f"depth {depth}: {got} vs {want}"
 
 
 def test_criterion_2_flop_reproduction():
     for depth, want in ((26, 4.7e9), (38, 6.5e9), (50, 8.2e9)):
-        got = count_flops(ModelSpec(depth=depth), 224).total_flops
+        got = ledger(ModelSpec(depth=depth), 224).total_flops
         assert abs(got - want) / want < 0.05, f"depth {depth}: {got} vs {want}"
     attn = ModelSpec(depth=50, groups=("attention",) * 4, stem="attention_stem",
                      k=7, heads=8, encoding_mode="relative")
-    report = count_flops(attn, 224)
+    report = ledger(attn, 224)
     assert abs(report.total_flops - 7.2e9) / 7.2e9 < 0.10, report.total_flops
     assert abs(report.total_params - 18.0e6) / 18.0e6 < 0.05, report.total_params
 

@@ -79,9 +79,10 @@ class TestTapeMechanics:
         tape.backward(np.ones_like(logits))
         assert tape.entries == []
         # composites pop their children's contexts too: the block's two
-        # branches and the stem's norm and pool
+        # branches and the stem's norm and pool, leaving the stem's input and
+        # softmax statistics
         assert main_ctxs == [] and shortcut_ctxs == []
-        assert len(stem_ctx) == 5
+        assert len(stem_ctx) == 2
         with pytest.raises(ConsumedTapeError, match="an earlier backward consumed it"):
             tape.backward(np.ones_like(logits))
 

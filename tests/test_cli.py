@@ -47,10 +47,26 @@ class TestExitCodes:
             run(["count", "--depth", "fifty"])
         assert err.value.code == 2
 
-    def test_invalid_configuration_fails_cleanly(self, capsys):
-        code, _, err = _cli(["count", "--depth", "44"], capsys)
+    # warnings are errors here, so a numpy warning before the error line
+    # fails the case
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["count", "--depth", "44"],
+        ["count", "--heads", "0"],
+        ["count", "--groups", "attention,attention,attention,attention", "--k", "4"],
+        ["count", "--stem-mixtures", "0"],
+        ["count", "--stem-d-emb", "0"],
+        ["train", "--batch-size", "0"] + TINY_MODEL + TINY_DATA,
+        ["train", "--data-limit", "-5"] + TINY_MODEL + TINY_DATA,
+        ["train", "--data-size", "0"] + TINY_MODEL + TINY_DATA[:-2],
+        ["parity", "--mode", "bogus"],
+        ["parity", "--heads", "0"],
+    ], ids=["depth-44", "heads-0", "even-k", "stem-mixtures-0", "stem-d-emb-0",
+            "batch-size-0", "data-limit-negative", "data-size-0", "parity-mode", "parity-heads-0"])
+    def test_invalid_configuration_fails_cleanly(self, argv, capsys):
+        code, _, err = _cli(argv, capsys)
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -9,8 +9,6 @@ from localattn.cost import (
     attention_unit_costs,
     conv_flops_per_pixel,
     cost_parity,
-    count_flops,
-    count_params,
     ledger,
 )
 from localattn.layers import ReLU
@@ -30,22 +28,22 @@ class TestCanonicalTotals:
                                                   (38, 19.6e6, 0.02),
                                                   (50, 25.6e6, 0.01)])
     def test_baseline_parameter_totals(self, depth, params, tol):
-        total = count_params(ModelSpec(depth=depth)).total_params
+        total = ledger(ModelSpec(depth=depth)).total_params
         assert abs(total - params) / params < tol
 
     @pytest.mark.parametrize("depth,flops", [(26, 4.7e9), (38, 6.5e9), (50, 8.2e9)])
     def test_baseline_flop_totals_at_224(self, depth, flops):
-        total = count_flops(ModelSpec(depth=depth), 224).total_flops
+        total = ledger(ModelSpec(depth=depth), 224).total_flops
         assert abs(total - flops) / flops < 0.05
 
     def test_attention_resnet50_totals(self):
-        report = count_flops(_attention_r50(), 224)
+        report = ledger(_attention_r50(), 224)
         assert abs(report.total_flops - 7.2e9) / 7.2e9 < 0.10
         assert abs(report.total_params - 18.0e6) / 18.0e6 < 0.05
 
     def test_attention_variant_is_leaner_than_baseline(self):
-        conv = count_flops(ModelSpec(depth=50), 224)
-        attn = count_flops(_attention_r50(), 224)
+        conv = ledger(ModelSpec(depth=50), 224)
+        attn = ledger(_attention_r50(), 224)
         assert attn.total_flops < conv.total_flops
         assert attn.total_params < conv.total_params
 
@@ -86,7 +84,7 @@ class TestUnitCosts:
             assert grown[1] == (2 * k - 1) * (16 // 4)
 
     def test_positional_tables_priced_separately(self):
-        report = count_params(_attention_r50())
+        report = ledger(_attention_r50())
         assert report.total_positional_params > 0
         assert report.total_params == (report.total_transform_params
                                        + report.total_positional_params)
@@ -137,15 +135,15 @@ class TestLedgerAgainstBuiltModels:
     def test_symbolic_counts_match_actual_arrays(self, spec):
         model = build_model(spec, seed=0)
         actual = sum(p.size for p in model.params.values())
-        assert count_params(spec).total_params == actual
+        assert ledger(spec).total_params == actual
 
     def test_flops_scale_with_resolution(self):
         spec = ModelSpec(block_counts=(1, 1, 1), groups=("attention",) * 3,
                          stem="attention_stem", width_multiplier=0.25, k=5,
                          heads=4, encoding_mode="relative", num_classes=10,
                          input_resolution=32)
-        small = count_flops(spec, 32).total_flops
-        large = count_flops(spec, 64).total_flops
+        small = ledger(spec, 32).total_flops
+        large = ledger(spec, 64).total_flops
         # spatial terms quadruple, the classifier head does not
         assert 3.5 < large / small < 4.01
 
@@ -156,14 +154,6 @@ class TestLedgerAgainstBuiltModels:
         rows = report.records()
         assert sum(r["params"] + r["positional_params"] for r in rows) == report.total_params
         assert sum(r["flops"] for r in rows) == report.total_flops
-
-    def test_count_params_accepts_a_built_model(self):
-        spec = ModelSpec(block_counts=(1,), groups=("attention",),
-                         stem="attention_stem", width_multiplier=0.125, k=3,
-                         heads=2, encoding_mode="relative", num_classes=4,
-                         input_resolution=16)
-        model = build_model(spec, seed=0)
-        assert count_params(model).total_params == count_params(spec).total_params
 
     @pytest.mark.parametrize("config", sorted(os.listdir(CONFIGS)))
     def test_entry_names_follow_the_built_model(self, config):

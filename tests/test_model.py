@@ -20,7 +20,6 @@ from localattn.model import (
     parse_config_text,
     read_config,
     save_checkpoint,
-    write_config,
 )
 
 
@@ -91,7 +90,8 @@ class TestConfigFormat:
     def test_write_read_round_trip(self, tmp_path):
         path = str(tmp_path / "model.cfg")
         spec = _desk_spec()
-        write_config(path, spec.to_mapping())
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {value}\n" for key, value in spec.to_mapping().items())
         assert ModelSpec.from_mapping(read_config(path)) == spec
 
     def test_malformed_line_rejected(self):
@@ -155,7 +155,7 @@ class TestBuildAndForward:
         y, _ = model.forward(x)
         assert y.shape == (1, 4)
         # stem /4 then one downsampling group: 16 -> 4 -> 2
-        assert model.downsample_factor == 8
+        assert model.spec.downsample_factor == 8
 
 
 class TestCheckpointFormat:

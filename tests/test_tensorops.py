@@ -190,7 +190,7 @@ class TestBlockAttentionTiles:
         seen = []
         key, value = shaped(k), shaped(v)
         dq, dk, dv = block_attention_vjp(
-            shaped(q), key, value, stats, y, shaped(dy), tile_bias,
+            shaped(q), key, value, stats, shaped(dy), tile_bias,
             lambda lo, hi, g: seen.append((lo, hi, g.copy())))
         c = _items_per_tile(slots, queries)
         assert [(lo, hi) for lo, hi, _ in seen] == [
@@ -200,16 +200,15 @@ class TestBlockAttentionTiles:
         np.testing.assert_allclose(dv.reshape(want_dv.shape), want_dv, rtol=0, atol=1e-12)
         # dk and dv are written over k and v
         assert np.shares_memory(dv, value)
+        assert dq.shape == lead + q.shape[1:]
         if keyless:
-            assert dq is None and dk is None
+            # keyless logits do not depend on q
+            assert dk is None
+            np.testing.assert_array_equal(dq, 0.0)
         else:
             assert np.shares_memory(dk, key)
             np.testing.assert_allclose(dq.reshape(want_dq.shape), want_dq, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dk.reshape(want_dk.shape), want_dk, rtol=0, atol=1e-12)
-        # y recomputed from the rebuilt weights gives the same cotangents
-        again = block_attention_vjp(shaped(q), shaped(k), shaped(v), stats, None, shaped(dy),
-                                    tile_bias)
-        np.testing.assert_array_equal(again[2], dv)
 
     def test_degenerate_group_in_the_last_tile_raises(self):
         q, k, v, bias, dy = _tile_case("partial-last-tile", masked=True, keyless=False)

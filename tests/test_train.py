@@ -460,13 +460,13 @@ class TestStepMemory:
     once its layer has run, composites pop their children's, and train_step
     lets its logits, tape and gradients die with it. So consecutive desk
     steps (batch 128, f32) peak at the same height above the memory in use
-    before the first. Traced at 55.0 MiB, in the stem's backward; with the
-    attention weights saved in the contexts it was 98.8 MiB, a step that
-    kept its whole tape through backward peaked at 163 MiB, and one that
-    also kept the previous step's tape alive into the next forward at
-    175.7 MiB."""
+    before the first. Traced at 47.0 MiB, in the stem's backward. It was
+    55.0 MiB while the stem saved its block input and output, 98.8 MiB
+    with the attention weights saved in the contexts, 163 MiB for a step
+    that kept its whole tape through backward, and 175.7 MiB for one that
+    also kept the previous step's tape alive into the next forward."""
 
-    BOUND_MIB = 60.0
+    BOUND_MIB = 52.0
 
     def test_consecutive_desk_steps_peak_alike_and_within_the_bound(self):
         spec = _desk_spec()
@@ -493,11 +493,12 @@ class TestStepMemory:
 
 class TestEvaluateMemory:
     """evaluate runs at the training batch size by default, and an inference
-    forward keeps no weights: 256 desk images (f32) peak at 54.5 MiB traced
-    above the memory in use before. At batch 256 with the attention weights
-    kept it was 165.0 MiB."""
+    forward keeps no weights: 256 desk images (f32) peak at 45.0 MiB traced
+    above the memory in use before. While the stem kept its output until its
+    norm and pool had run it was 54.5 MiB, and at batch 256 with the
+    attention weights kept 165.0 MiB."""
 
-    BOUND_MIB = 60.0
+    BOUND_MIB = 52.0
 
     def test_desk_evaluate_peak_within_the_bound(self):
         model = build_model(_desk_spec(), seed=0)

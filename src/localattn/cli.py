@@ -165,13 +165,16 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_verify(args) -> int:
     _require_f64(args)
     start = time.perf_counter()
-    suites = run_all(seed=getattr(args, "seed", 0))
+    timings: dict[str, float] = {}
+    suites = run_all(seed=getattr(args, "seed", 0), timings=timings)
     lines: list[str] = []
     for suite in suites:
         lines.extend(suite.lines())
     ok = all(s.passed for s in suites)
     lines.append("verify: all suites pass" if ok else "verify: FAILURES above")
     _emit(lines, args.out)
+    for name, seconds in timings.items():
+        print(f"# time {name} {seconds:.1f}s")
     print(f"# time verify {time.perf_counter() - start:.1f}s")
     return 0 if ok else 1
 

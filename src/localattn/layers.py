@@ -630,10 +630,19 @@ class AttentionStem:
         return {"W_Q": self.W_Q, "W_K": self.W_K, "W_V": self.W_V, "emb_row": self.emb_row,
                 "emb_col": self.emb_col, "nu": self.nu, **self.tail.params}
 
+    def _combined(self) -> np.ndarray:
+        """emb_row[a] + emb_col[b] for the 16 block positions, (16, E)."""
+        return (self.emb_row[:, None, :] + self.emb_col[None, :, :]).reshape(-1, self.d_emb)
+
     def mixture_weights(self) -> np.ndarray:
-        """(4, 4, M) array of p(a,b,m); rows sum to one."""
-        combined = self.emb_row[:, None, :] + self.emb_col[None, :, :]     # (4, 4, E)
-        logits = np.einsum("abe,me->abm", combined, self.nu, optimize=True)
+        """(4, 4, M) array of p(a,b,m); rows sum to one.
+
+        The mixture's contractions here and in backward are parameter-sized
+        GEMMs over the 16 block positions. A GEMM's rounding depends on its
+        operands' order and memory layout, so changing either can move the
+        gradients in the last bits: p is M-major in memory, the (M, 16)
+        product viewed as (4, 4, M)."""
+        logits = (self.nu @ self._combined().T).T.reshape(self.WINDOW, self.WINDOW, -1)
         return softmax_axis(logits, -1)
 
     def _blocks(self, x: np.ndarray):
@@ -645,7 +654,7 @@ class AttentionStem:
         keep."""
         win = self.WINDOW
         p = self.mixture_weights().astype(x.dtype)                          # (4, 4, M)
-        w_mixed = np.einsum("abm,moi->aboi", p, self.W_V, optimize=True).reshape(
+        w_mixed = (p.reshape(win * win, -1) @ self.W_V.reshape(self.mixtures, -1)).reshape(
             win * win, self.d_out, self.d_in)                               # (slot, out, in)
         xb = _to_blocks(x, win, win)                                        # (n, hb, wb, in, s)
         slots = xb.shape[-1]
@@ -690,19 +699,16 @@ class AttentionStem:
         dxb = self.W_Q.T @ dq + self.W_K.T @ dk
         del dq, dk
         dxb += np.einsum("soi,nos->nis", w_mixed, dv, optimize=True)
-        d_wmixed = np.einsum("nos,nis->soi", dv, x_flat, optimize=True).reshape(
-            self.WINDOW, self.WINDOW, self.d_out, self.d_in)
+        d_wmixed = np.einsum("nos,nis->ois", dv, x_flat, optimize=True).reshape(-1, slots)
         del dv
         dx = np.empty(x.shape, dtype=dxb.dtype)
         _from_blocks(dxb.reshape(xb.shape), self.WINDOW, self.WINDOW, dx)
 
-        grads["W_V"] = np.einsum("abm,aboi->moi", p, d_wmixed, optimize=True)
-        dp = np.einsum("aboi,moi->abm", d_wmixed, self.W_V, optimize=True)
-        dp_logits = softmax_vjp(p, dp)                                      # (4, 4, M)
-        grads["nu"] = np.einsum(
-            "abm,abe->me", dp_logits,
-            self.emb_row[:, None, :] + self.emb_col[None, :, :], optimize=True)
-        d_combined = np.einsum("abm,me->abe", dp_logits, self.nu, optimize=True)
+        p_flat = p.reshape(slots, -1)
+        grads["W_V"] = (d_wmixed @ p_flat).T.reshape(self.W_V.shape)
+        dp_logits = softmax_vjp(p_flat, (self.W_V.reshape(self.mixtures, -1) @ d_wmixed).T)
+        grads["nu"] = (self._combined().T @ dp_logits).T
+        d_combined = (dp_logits @ self.nu).reshape(self.WINDOW, self.WINDOW, -1)
         grads["emb_row"] = d_combined.sum(axis=1)
         grads["emb_col"] = d_combined.sum(axis=0)
         return dx, grads

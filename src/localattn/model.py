@@ -90,7 +90,10 @@ class ModelSpec(ConfigRecord):
         if self.width_multiplier <= 0:
             raise ConfigurationError(
                 f"width_multiplier must be positive, got {self.width_multiplier}")
-        self.require_positive("heads", "stem_mixtures", "stem_d_emb")
+        self.require_positive("heads", "stem_mixtures", "stem_d_emb", "num_classes",
+                              "input_resolution")
+        if not 0 < self.bn_decay < 1:
+            raise ConfigurationError(f"bn_decay must lie in (0, 1), got {self.bn_decay}")
         if self.k < 1 or self.k % 2 == 0:
             raise ConfigurationError(f"k must be odd and positive, got {self.k}")
 

@@ -1,9 +1,12 @@
 """Brute-force reference evaluations used to verify the vectorized layers.
 
-Everything here is written as plain per-pixel loops with no shared machinery
-beyond parameter tensors, so agreement with the fast implementations is
-evidence rather than tautology. All functions promote to float64. Slow on
-purpose; use small shapes.
+Everything here is written as plain per-pixel loops and imports nothing from
+the package, so agreement with the fast implementations is evidence rather
+than tautology. Each pixel's per-head query, key and value projections are
+computed once per call and looked up, as are the stem's 16 position-mixed
+value transforms; the logits, softmax and weighted sums stay loops over
+(query, head, key), the sums in Python floats. All functions promote to
+float64. Slow on purpose; use small shapes.
 """
 
 from __future__ import annotations
@@ -71,6 +74,29 @@ def absolute_position_signal_reference(d: int, height: int, width: int) -> np.nd
     return sig
 
 
+def _weighted_sum(weights: list[float], vectors: list[np.ndarray]) -> list[float]:
+    """sum_i weights[i] * vectors[i], accumulated element by element in
+    vector order, in Python floats."""
+    out = [0.0] * len(vectors[0])
+    for w, vec in zip(weights, vectors):
+        for t, v in enumerate(vec.tolist()):
+            out[t] += w * v
+    return out
+
+
+def _head_rows(d_out: int, heads: int) -> list[slice]:
+    d_head = d_out // heads
+    return [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
+
+
+def _project(w: np.ndarray, x_img: np.ndarray, head_rows: list[slice]) -> dict:
+    """Each pixel's per-head projections of a (C, H, W) image or block,
+    (a, b) -> [w[rows] @ x_ab per head]."""
+    _, height, width = x_img.shape
+    return {(a, b): [w[rows] @ x_img[:, a, b] for rows in head_rows]
+            for a in range(height) for b in range(width)}
+
+
 def local_attention_reference(
     x: np.ndarray,
     w_q: np.ndarray,
@@ -90,9 +116,13 @@ def local_attention_reference(
     Softmax runs over the in-image neighbors only.
     """
     x = np.asarray(x, dtype=np.float64)
+    w_q, w_k, w_v, row_emb, col_emb = (None if t is None else np.asarray(t, dtype=np.float64)
+                                       for t in (w_q, w_k, w_v, row_emb, col_emb))
+    content = mode != "relative_only"
+    relative = mode in ("relative", "relative_only")
     n, c, height, width = x.shape
-    d_out = w_q.shape[0] if mode != "relative_only" else w_v.shape[0]
-    d_head = d_out // heads
+    d_out = w_q.shape[0] if content else w_v.shape[0]
+    head_rows = _head_rows(d_out, heads)
     half = k // 2
 
     if mode == "absolute":
@@ -100,6 +130,9 @@ def local_attention_reference(
 
     y = np.zeros((n, d_out, height, width))
     for img in range(n):
+        queries = _project(w_q, x[img], head_rows)
+        keys = _project(w_k, x[img], head_rows) if content else None
+        values = _project(w_v, x[img], head_rows)
         for i in range(height):
             for j in range(width):
                 neighbors = [
@@ -108,27 +141,20 @@ def local_attention_reference(
                     for b in range(j - half, j + half + 1)
                     if 0 <= a < height and 0 <= b < width
                 ]
-                for h in range(heads):
-                    rows = slice(h * d_head, (h + 1) * d_head)
-                    q = np.asarray(w_q, dtype=np.float64)[rows] @ x[img, :, i, j]
+                for h, rows in enumerate(head_rows):
+                    q = queries[i, j][h]
                     logits = []
                     for a, b in neighbors:
                         l = 0.0
-                        if mode != "relative_only":
-                            key = np.asarray(w_k, dtype=np.float64)[rows] @ x[img, :, a, b]
-                            l += float(q @ key)
-                        if mode in ("relative", "relative_only"):
-                            r = np.concatenate([
-                                np.asarray(row_emb, dtype=np.float64)[a - i + k - 1],
-                                np.asarray(col_emb, dtype=np.float64)[b - j + k - 1],
-                            ])
+                        if content:
+                            l += float(q @ keys[a, b][h])
+                        if relative:
+                            r = np.concatenate([row_emb[a - i + k - 1], col_emb[b - j + k - 1]])
                             l += float(q @ r)
                         logits.append(l)
                     probs = _softmax_list(logits)
-                    out = np.zeros(d_head)
-                    for p, (a, b) in zip(probs, neighbors):
-                        out += p * (np.asarray(w_v, dtype=np.float64)[rows] @ x[img, :, a, b])
-                    y[img, rows, i, j] = out
+                    y[img, rows, i, j] = _weighted_sum(probs, [values[a, b][h]
+                                                               for a, b in neighbors])
     return y
 
 
@@ -139,21 +165,19 @@ def global_attention_reference(
     x = np.asarray(x, dtype=np.float64)
     n, c, height, width = x.shape
     d_out = w_q.shape[0]
-    d_head = d_out // heads
+    head_rows = _head_rows(d_out, heads)
     y = np.zeros((n, d_out, height, width))
     pixels = [(a, b) for a in range(height) for b in range(width)]
     for img in range(n):
-        for i in range(height):
-            for j in range(width):
-                for h in range(heads):
-                    rows = slice(h * d_head, (h + 1) * d_head)
-                    q = w_q[rows] @ x[img, :, i, j]
-                    logits = [float(q @ (w_k[rows] @ x[img, :, a, b])) for a, b in pixels]
-                    probs = _softmax_list(logits)
-                    out = np.zeros(d_head)
-                    for p, (a, b) in zip(probs, pixels):
-                        out += p * (w_v[rows] @ x[img, :, a, b])
-                    y[img, rows, i, j] = out
+        queries = _project(w_q, x[img], head_rows)
+        keys = _project(w_k, x[img], head_rows)
+        values = _project(w_v, x[img], head_rows)
+        for i, j in pixels:
+            for h, rows in enumerate(head_rows):
+                q = queries[i, j][h]
+                logits = [float(q @ keys[a, b][h]) for a, b in pixels]
+                probs = _softmax_list(logits)
+                y[img, rows, i, j] = _weighted_sum(probs, [values[a, b][h] for a, b in pixels])
     return y
 
 
@@ -192,32 +216,31 @@ def stem_attention_reference(
     x = np.asarray(x, dtype=np.float64)
     n, c, height, width = x.shape
     d_out = w_q.shape[0]
-    d_head = d_out // heads
+    head_rows = _head_rows(d_out, heads)
     win = 4
+    cells = [(a, b) for a in range(win) for b in range(win)]
+    mixed = {}
+    for a, b in cells:
+        p = stem_mixture_weights_reference(emb_row, emb_col, nu, a, b)
+        mixed[a, b] = sum(p[m] * w_v[m] for m in range(w_v.shape[0]))
     attended = np.zeros((n, d_out, height, width))
     for img in range(n):
         for bi in range(height // win):
             for bj in range(width // win):
-                cells = [(a, b) for a in range(win) for b in range(win)]
+                block = x[img, :, bi * win:(bi + 1) * win, bj * win:(bj + 1) * win]
+                queries = _project(w_q, block, head_rows)
+                keys = _project(w_k, block, head_rows)
                 values = {}
                 for a, b in cells:
-                    p = stem_mixture_weights_reference(emb_row, emb_col, nu, a, b)
-                    w_mixed = sum(p[m] * w_v[m] for m in range(w_v.shape[0]))
-                    values[(a, b)] = w_mixed @ x[img, :, bi * win + a, bj * win + b]
+                    v = mixed[a, b] @ block[:, a, b]
+                    values[a, b] = [v[rows] for rows in head_rows]
                 for a, b in cells:
-                    i, j = bi * win + a, bj * win + b
-                    for h in range(heads):
-                        rows = slice(h * d_head, (h + 1) * d_head)
-                        q = w_q[rows] @ x[img, :, i, j]
-                        logits = [
-                            float(q @ (w_k[rows] @ x[img, :, bi * win + a2, bj * win + b2]))
-                            for a2, b2 in cells
-                        ]
+                    for h, rows in enumerate(head_rows):
+                        q = queries[a, b][h]
+                        logits = [float(q @ keys[cell][h]) for cell in cells]
                         probs = _softmax_list(logits)
-                        out = np.zeros(d_head)
-                        for p2, (a2, b2) in zip(probs, cells):
-                            out += p2 * values[(a2, b2)][rows]
-                        attended[img, rows, i, j] = out
+                        attended[img, rows, bi * win + a, bj * win + b] = _weighted_sum(
+                            probs, [values[cell][h] for cell in cells])
     normed = np.zeros_like(attended)
     for ch in range(d_out):
         normed[:, ch] = gamma[ch] * (attended[:, ch] - running_mean[ch]) / math.sqrt(

@@ -12,6 +12,7 @@ produce identical reports.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,6 +410,15 @@ def gradcheck_suite(seed: int = 0, tolerance: float = 1e-4) -> SuiteResult:
     return suite
 
 
-def run_all(seed: int = 0, tolerance: float = 1e-4) -> list[SuiteResult]:
-    return [oracle_suite(seed), invariant_suite(seed),
-            gradcheck_suite(seed, tolerance)]
+def run_all(seed: int = 0, tolerance: float = 1e-4,
+            timings: dict[str, float] | None = None) -> list[SuiteResult]:
+    """The oracle, invariant and gradcheck suites, in that order. `timings`,
+    if given, receives each suite's wall seconds under its name."""
+    suites = []
+    for run in (lambda: oracle_suite(seed), lambda: invariant_suite(seed),
+                lambda: gradcheck_suite(seed, tolerance)):
+        start = time.perf_counter()
+        suites.append(run())
+        if timings is not None:
+            timings[suites[-1].name] = time.perf_counter() - start
+    return suites

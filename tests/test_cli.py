@@ -56,13 +56,22 @@ class TestExitCodes:
         ["count", "--groups", "attention,attention,attention,attention", "--k", "4"],
         ["count", "--stem-mixtures", "0"],
         ["count", "--stem-d-emb", "0"],
+        ["count", "--resolution", "-32"],
+        ["count", "--resolution", "0"],
+        ["count", "--num-classes", "0"],
+        ["count", "--bn-decay", "2"],
+        ["count", "--bn-decay", "0"],
         ["train", "--batch-size", "0"] + TINY_MODEL + TINY_DATA,
         ["train", "--data-limit", "-5"] + TINY_MODEL + TINY_DATA,
         ["train", "--data-size", "0"] + TINY_MODEL + TINY_DATA[:-2],
         ["parity", "--mode", "bogus"],
         ["parity", "--heads", "0"],
+        ["parity", "--conv-k", "-3"],
+        ["parity", "--d", "0"],
     ], ids=["depth-44", "heads-0", "even-k", "stem-mixtures-0", "stem-d-emb-0",
-            "batch-size-0", "data-limit-negative", "data-size-0", "parity-mode", "parity-heads-0"])
+            "resolution-negative", "resolution-0", "num-classes-0", "bn-decay-2",
+            "bn-decay-0", "batch-size-0", "data-limit-negative", "data-size-0",
+            "parity-mode", "parity-heads-0", "parity-conv-k-negative", "parity-d-0"])
     def test_invalid_configuration_fails_cleanly(self, argv, capsys):
         code, _, err = _cli(argv, capsys)
         assert code == 1
@@ -139,7 +148,8 @@ class TestReportCommands:
         for name in ("[oracle]", "[invariant]", "[gradcheck]"):
             assert name in out
         assert "verify: all suites pass" in out
-        assert "# time verify" in out
+        times = [line.split()[2] for line in out.splitlines() if line.startswith("# time")]
+        assert times == ["oracle", "invariant", "gradcheck", "verify"]
 
     def test_gradcheck_passes_at_default_tolerance(self, capsys):
         code, out, _ = _cli(["gradcheck"], capsys)

@@ -1,6 +1,8 @@
 """Layer forward semantics: convolution, local attention, stem, pools, norm."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -686,3 +688,57 @@ class TestBatchNorm:
             out.append((y, dx, grads["gamma"], grads["beta"], bn.running_mean, bn.running_var))
         for got, want in zip(*out):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+# Parameter swaps the oracles must tell apart from the layer: W_Q/W_K where
+# the mode has content logits, row/column tables where it has relative ones
+LOCAL_SWAPS = [("none", "qk"), ("absolute", "qk"), ("relative", "qk"),
+               ("relative", "emb"), ("relative_only", "emb")]
+
+
+class TestReferenceOracles:
+    """The oracles keep their power: agreement with the layer at 1e-8 means
+    something only if a plausible wiring mistake moves them far off it."""
+
+    @pytest.mark.parametrize("mode,swap", LOCAL_SWAPS, ids=[f"{m}-{s}" for m, s in LOCAL_SWAPS])
+    def test_local_attention_oracle_detects_swapped_parameters(self, mode, swap):
+        layer = _attn(mode, k=3, heads=2, d_in=4, d_out=8, seed=41)
+        x = np.random.default_rng(42).standard_normal((2, 4, 5, 6))
+        y, _ = layer.forward(x)
+        params = {"w_q": layer.W_Q, "w_k": getattr(layer, "W_K", None),
+                  "row_emb": layer.row_emb, "col_emb": layer.col_emb}
+        np.testing.assert_allclose(y, ref.local_attention_reference(
+            x, w_v=layer.W_V, k=3, heads=2, mode=mode, **params), rtol=0, atol=1e-8)
+        a, b = ("w_q", "w_k") if swap == "qk" else ("row_emb", "col_emb")
+        params[a], params[b] = params[b], params[a]
+        wrong = ref.local_attention_reference(x, w_v=layer.W_V, k=3, heads=2, mode=mode,
+                                              **params)
+        assert np.max(np.abs(y - wrong)) > 1e-3
+
+    @pytest.mark.parametrize("swap", ["emb", "nu-rows"])
+    def test_stem_oracle_detects_swapped_parameters(self, swap):
+        stem = _stem(43)
+        x = np.random.default_rng(44).standard_normal((2, 3, 8, 12))
+        y, _ = stem.forward(x, training=False)
+        params = {"emb_row": stem.emb_row, "emb_col": stem.emb_col, "nu": stem.nu}
+        if swap == "emb":
+            params["emb_row"], params["emb_col"] = stem.emb_col, stem.emb_row
+        else:
+            params["nu"] = np.roll(stem.nu, 1, axis=0)
+        wrong = ref.stem_attention_reference(
+            x, stem.W_Q, stem.W_K, stem.W_V, heads=stem.heads, gamma=stem.norm.gamma,
+            beta=stem.norm.beta, running_mean=stem.norm.running_mean,
+            running_var=stem.norm.running_var, epsilon=stem.norm.epsilon, **params)
+        assert np.max(np.abs(y - wrong)) > 1e-3
+
+    def test_reference_imports_nothing_from_the_package(self):
+        tree = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert imported, "no imports parsed"
+        assert not any(name.startswith(".") or name.split(".")[0] == "localattn"
+                       for name in imported), sorted(imported)

@@ -312,14 +312,14 @@ class LocalAttention:
 
     def _blocks(self, x_in: np.ndarray):
         """The block tables of x_in's axes; Q in query blocks and K, V in key
-        windows (K None in relative_only mode)."""
+        windows (K None in relative_only mode), V as one value group."""
         n, _, height, width = x_in.shape
         rows, cols = _axis_blocks(height, self.k), _axis_blocks(width, self.k)
         w = np.concatenate([w for _, w in self._transforms()])
         t = (w @ x_in.reshape(n, self.d_in, height * width)).reshape(
             n, -1, self.heads, self.d_head, height, width)
         key = _key_windows(t[:, 1], rows, cols) if self.W_K is not None else None
-        value = _key_windows(t[:, -1], rows, cols)
+        value = _key_windows(t[:, -1], rows, cols)[..., None, :, :]
         return rows, cols, _to_blocks(t[:, 0], rows.b, cols.b), key, value
 
     def _bias(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks):
@@ -372,7 +372,7 @@ class LocalAttention:
         rows, cols, q, key, v = self._blocks(x_in)
         y, stats = block_attention(q, key, v, self._bias(q, rows, cols))
         out = np.empty((n, self.heads, self.d_head, height, width), dtype=y.dtype)
-        _from_blocks(y, rows.b, cols.b, out)
+        _from_blocks(y[..., 0, :, :], rows.b, cols.b, out)
         return out.reshape(n, self.d_out, height, width), (x_in, stats)
 
     def window_weights(self, ctx) -> np.ndarray:
@@ -407,6 +407,7 @@ class LocalAttention:
         n, _, height, width = x_in.shape
         rows, cols, q, key, v = self._blocks(x_in)
         dyb = _to_blocks(dy.reshape(n, self.heads, self.d_head, height, width), rows.b, cols.b)
+        dyb = dyb[..., None, :, :]
         sums = on_tile = None
         if self.row_emb is not None:
             # the cotangents of the row and the column term, (span, n, heads,
@@ -431,7 +432,7 @@ class LocalAttention:
         _from_blocks(dq, rows.b, cols.b, d_t[:, 0])
         if dk is not None:
             _scatter_windows(dk, rows, cols, d_t[:, 1])
-        _scatter_windows(dv, rows, cols, d_t[:, -1])
+        _scatter_windows(dv[..., 0, :, :], rows, cols, d_t[:, -1])
         del dq, dk, dv
         d_flat = d_t.reshape(n, -1, height * width)
         x_flat = x_in.reshape(n, self.d_in, height * width)
@@ -584,20 +585,25 @@ class AttentionStem:
     The mixture weight p(a,b,m) = softmax_m((emb_row[a] + emb_col[b]) . nu[m])
     is shared across heads and across blocks.
 
-    The attention is tensorops.block_attention with no bias: each 4x4 block
-    is one query block and its own key window. The d_in-channel input is
-    copied to (n, hb, wb, d_in, 16), slot a*4 + b holding block position (a,
-    b), and Q, K and V are projected from it straight into (n, hb, wb, heads,
-    d_head, 16), n*hb*wb*heads items of 16 key slots by 16 query slots. Only
-    the block output y goes back to NCHW, for the `norm` and `pool`
-    children, which run as one Sequential. ctx is a list of the input,
-    block_attention's softmax statistics (not the weights) and the
+    Parameters and function are the paper's, and head h's logits K_h^T Q_h
+    (W_Q,h and W_K,h being rows h*d_head to (h+1)*d_head of W_Q and W_K) are
+    taken through the identity K_h^T Q_h = xb^T A_h xb, A_h = W_K,h^T W_Q,h
+    (d_in x d_in), for the block input xb: q'_h = A_h xb, and xb is one key
+    set for every head, as in multi-query attention (Shazeer, arXiv
+    1911.02150). The attention is tensorops.block_attention with no bias and
+    one value group per head: the input is copied to (n, hb, wb, d_in, 16),
+    slot a*4 + b holding block position (a, b), and each 4x4 block is one
+    item of T = 16 keys and S = heads*16 queries, head h's being h*16 to
+    (h+1)*16. Only the block output y goes back to NCHW, for the `norm` and
+    `pool` children, which run as one Sequential. ctx is a list of the
+    input, block_attention's softmax statistics (not the weights) and the
     children's contexts, which backward consumes. Backward rebuilds the
-    block input, the mixture and Q, K and V from the input and the
-    parameters, which an image's few input channels make cheaper than
-    keeping them, lets the VJP rebuild the weights and y tile by tile and
-    write dK and dV over K and V, and frees each full-size temporary after
-    its last use.
+    block input, the mixture, q' and V from the input and the parameters,
+    which an image's few input channels make cheaper than keeping them, lets
+    the VJP write dk' over a copy of the block input and dV over V, and
+    frees each full-size temporary after its last use; dA_h = sum dq'_h
+    xb^T, dW_Q,h = W_K,h dA_h, dW_K,h = W_Q,h dA_h^T and dxb = sum_h A_h^T
+    dq'_h + dk' + the value term.
     """
 
     WINDOW = 4
@@ -647,21 +653,28 @@ class AttentionStem:
 
     def _blocks(self, x: np.ndarray):
         """The mixture weights p, (4, 4, M); the position-mixed value
-        transform w_mixed, (16, d_out, d_in); x in block layout, (n, hb, wb,
-        d_in, 16); and Q, K and V projected from it, each (n, hb, wb, heads,
-        d_head, 16). Every projected output costs d_in multiply-adds, so for
-        an image input these are cheaper to rebuild in backward than to
-        keep."""
+        transform as one block-diagonal (d_in*16, d_out*16) matrix w_slots,
+        entry (i*16 + s, o*16 + s) holding w_mixed[s, o, i]; the A_h as rows,
+        (d_in*heads, d_in), row i*heads + h holding row i of A_h; q', (n, hb,
+        wb, d_in, heads*16); x in block layout, (n, hb, wb, d_in, 16); and V,
+        (n, hb, wb, heads, d_head, 16). V, the value term of dxb and the
+        gradient of w_mixed are each one GEMM of the block-layout data with
+        w_slots or its slot diagonal, 16x the multiply-adds of a per-slot
+        product, but the data stays item-contiguous and needs no transpose."""
         win = self.WINDOW
+        slots = win * win
         p = self.mixture_weights().astype(x.dtype)                          # (4, 4, M)
-        w_mixed = (p.reshape(win * win, -1) @ self.W_V.reshape(self.mixtures, -1)).reshape(
-            win * win, self.d_out, self.d_in)                               # (slot, out, in)
+        w_mixed = (p.reshape(slots, -1) @ self.W_V.reshape(self.mixtures, -1)).reshape(
+            slots, self.d_out, self.d_in)                                   # (slot, out, in)
+        w_slots = np.zeros((self.d_in, slots, self.d_out, slots), dtype=x.dtype)
+        w_slots[:, np.arange(slots), :, np.arange(slots)] = w_mixed.transpose(0, 2, 1)
+        w_slots = w_slots.reshape(self.d_in * slots, -1)
+        w_q, w_k = (w.reshape(self.heads, self.d_head, self.d_in) for w in (self.W_Q, self.W_K))
+        a_rows = (np.swapaxes(w_k, -2, -1) @ w_q).transpose(1, 0, 2).reshape(-1, self.d_in)
         xb = _to_blocks(x, win, win)                                        # (n, hb, wb, in, s)
-        slots = xb.shape[-1]
-        shape = xb.shape[:3] + (self.heads, self.d_head, slots)
-        v = np.einsum("soi,nis->nos", w_mixed, xb.reshape(-1, self.d_in, slots), optimize=True)
-        return (p, w_mixed, xb, (self.W_Q @ xb).reshape(shape), (self.W_K @ xb).reshape(shape),
-                v.reshape(shape))
+        v = (xb.reshape(-1, self.d_in * slots) @ w_slots).reshape(
+            xb.shape[:3] + (self.heads, self.d_head, slots))
+        return p, w_slots, a_rows, (a_rows @ xb).reshape(xb.shape[:-2] + (self.d_in, -1)), xb, v
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 4 or x.shape[1] != self.d_in:
@@ -686,21 +699,29 @@ class AttentionStem:
         x, stats = ctx
         dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW)
         del d_attended
-        p, w_mixed, xb, q, key, v = self._blocks(x)
-        dq, dk, dv = block_attention_vjp(q, key, v, stats, dyb.reshape(q.shape))
-        del q, key, v, dyb
+        p, w_slots, a_rows, q, xb, v = self._blocks(x)
+        dq, dk, dv = block_attention_vjp(q, xb.copy(), v, stats, dyb.reshape(v.shape))
+        del q, v, dyb
 
         slots = xb.shape[-1]
         x_flat = xb.reshape(-1, self.d_in, slots)                          # (blocks, in, s)
-        dq, dk, dv = (t.reshape(-1, self.d_out, slots) for t in (dq, dk, dv))
-        x_t = np.swapaxes(x_flat, -2, -1)
-        grads["W_Q"] = (dq @ x_t).sum(axis=0)
-        grads["W_K"] = (dk @ x_t).sum(axis=0)
-        dxb = self.W_Q.T @ dq + self.W_K.T @ dk
+        dq = dq.reshape(len(x_flat), -1, slots)                            # (blocks, in*heads, s)
+        d_a = (dq @ np.swapaxes(x_flat, -2, -1)).sum(axis=0)               # dA_h as rows
+        d_a = d_a.reshape(self.d_in, self.heads, self.d_in).transpose(1, 0, 2)
+        w_q, w_k = (w.reshape(self.heads, self.d_head, self.d_in) for w in (self.W_Q, self.W_K))
+        grads["W_Q"] = (w_k @ d_a).reshape(self.W_Q.shape)
+        grads["W_K"] = (w_q @ np.swapaxes(d_a, -2, -1)).reshape(self.W_K.shape)
+        dxb = a_rows.T @ dq
+        dxb += dk.reshape(dxb.shape)
         del dq, dk
-        dxb += np.einsum("soi,nos->nis", w_mixed, dv, optimize=True)
-        d_wmixed = np.einsum("nos,nis->ois", dv, x_flat, optimize=True).reshape(-1, slots)
+        dv = dv.reshape(len(x_flat), -1)                                   # (blocks, out*s)
+        dxb += (dv @ w_slots.T).reshape(dxb.shape)
+        d_slots = (x_flat.reshape(len(x_flat), -1).T @ dv).reshape(
+            self.d_in, slots, self.d_out, slots)
         del dv
+        # the slot diagonal, (s, in, out), as (out*in, s)
+        d_wmixed = d_slots[:, np.arange(slots), :, np.arange(slots)].transpose(2, 1, 0).reshape(
+            -1, slots)
         dx = np.empty(x.shape, dtype=dxb.dtype)
         _from_blocks(dxb.reshape(xb.shape), self.WINDOW, self.WINDOW, dx)
 

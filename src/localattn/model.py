@@ -17,6 +17,7 @@ configuration and a binary checkpoint (magic, version, manifest, raw arrays).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -87,9 +88,9 @@ class ModelSpec(ConfigRecord):
             raise ConfigurationError(f"stem must be one of {STEMS}, got {self.stem!r}")
         if self.encoding_mode not in MODES:
             raise ConfigurationError(f"unknown encoding_mode {self.encoding_mode!r}")
-        if self.width_multiplier <= 0:
+        if not 0 < self.width_multiplier < math.inf:
             raise ConfigurationError(
-                f"width_multiplier must be positive, got {self.width_multiplier}")
+                f"width_multiplier must be positive and finite, got {self.width_multiplier}")
         self.require_positive("heads", "stem_mixtures", "stem_d_emb", "num_classes",
                               "input_resolution")
         if not 0 < self.bn_decay < 1:
@@ -385,8 +386,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             f"manifest name is not UTF-8 at byte offset {offset + exc.start}") from exc
     out = {}
     for name, shape, dtype in manifest:
-        n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        n_bytes = n_items * dtype.itemsize
+        n_bytes = math.prod(shape) * dtype.itemsize             # Python ints: no wrap-around
         if offset + n_bytes > len(blob):
             raise CheckpointError(
                 f"truncated checkpoint: {name} needs {n_bytes} bytes at offset {offset}")

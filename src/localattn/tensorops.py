@@ -10,10 +10,13 @@ heads, batch in front): a tile is as many consecutive items as keep its
 logits within TILE_BYTES, so a tile's logits, softmax and GEMMs stay in L2
 and no logits-sized array is allocated. Each tile's logits are written key
 slot first, so the softmax reduces over axis 0, into one tile-sized scratch
-that every tile reuses. The weights are not kept: block_attention returns
-each query's logit max and sum of exponentials, and block_attention_vjp
-rebuilds a tile's weights from them with the forward's ops in the forward's
-order, so bit for bit (FlashAttention's recomputation, arXiv 2205.14135).
+that every tile reuses. The tile is never divided by the softmax sum: the
+output V @ exp, d_v rows per query, is divided instead (FlashAttention's
+deferred normalization, arXiv 2205.14135). The weights are not kept:
+block_attention returns each query's logit max and sum of exponentials, and
+block_attention_vjp rebuilds a tile's exponentials from them with the
+forward's ops in the forward's order, so bit for bit (FlashAttention's
+recomputation).
 """
 
 from __future__ import annotations
@@ -25,20 +28,13 @@ from .errors import DegenerateGroupError, DimensionError, UnsupportedExtentError
 TILE_BYTES = 256 * 1024    # logits bytes per tile of block_attention
 
 
-def softmax_axis(x: np.ndarray, axis: int, out: np.ndarray | None = None,
-                 stats=None) -> np.ndarray:
-    """Numerically stabilized softmax along `axis`, into `out` if given (which
-    may be x itself). `stats`, if given, is a pair of arrays shaped like x
-    reduced over `axis` with keepdims, which receive each group's max and
-    sum of exponentials.
-
-    A slot is masked out by a logit of -inf: its weight is exactly zero and
-    the group's other slots sum to one. A group whose max is not finite (a
-    +inf or NaN logit, or every logit -inf) raises DegenerateGroupError.
-    """
-    x = np.asarray(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"axis {axis} out of range for rank {x.ndim}")
+def _exp_stats(x: np.ndarray, axis: int, out: np.ndarray | None = None, stats=None):
+    """(exp(x - max), sum of that) along `axis`, the exponentials into `out`
+    if given (which may be x itself). `stats`, if given, is a pair of arrays
+    shaped like x reduced over `axis` with keepdims, which receive each
+    group's max and sum. A -inf logit gets an exponential of exactly zero; a
+    group whose max is not finite (a +inf or NaN logit, or every logit -inf)
+    raises DegenerateGroupError."""
     m_out, sum_out = (None, None) if stats is None else stats
     m = np.max(x, axis=axis, keepdims=True, out=m_out)
     degenerate = ~np.isfinite(m)
@@ -48,7 +44,18 @@ def softmax_axis(x: np.ndarray, axis: int, out: np.ndarray | None = None,
             f"logit -inf, in {int(degenerate.sum())} group(s)")
     e = np.subtract(x, m, out=out, dtype=np.result_type(x, 0.0))    # integer logits give float64
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True, out=sum_out)
+    return e, np.sum(e, axis=axis, keepdims=True, out=sum_out)
+
+
+def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stabilized softmax along `axis`. A slot masked out by a
+    -inf logit gets a weight of exactly zero and the group's other slots sum
+    to one; a degenerate group raises DegenerateGroupError (_exp_stats)."""
+    x = np.asarray(x)
+    if not -x.ndim <= axis < x.ndim:
+        raise DimensionError(f"axis {axis} out of range for rank {x.ndim}")
+    e, total = _exp_stats(x, axis)
+    e /= total
     return e
 
 
@@ -62,10 +69,16 @@ def softmax_vjp(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarray:
     return dp
 
 
-def _items(t: np.ndarray) -> np.ndarray:
-    """(..., a, b) -> (L, a, b): the leading axes flattened into one item
-    axis, a view when t is item-contiguous."""
-    return t.reshape((-1,) + t.shape[-2:])
+def _items(t: np.ndarray, rank: int = 2) -> np.ndarray:
+    """(..., *m) -> (L, *m) for the trailing `rank` axes m: the leading axes
+    flattened into one item axis, a view when t is item-contiguous."""
+    return t.reshape((-1,) + t.shape[-rank:])
+
+
+def _grouped(t: np.ndarray, groups: int) -> np.ndarray:
+    """(T, L, S) -> (L, groups, T, S/groups) view: each item's queries cut
+    into consecutive groups."""
+    return np.moveaxis(t.reshape(t.shape[:2] + (groups, -1)), 0, -2)
 
 
 def _tiles(items: int, slots: int, queries: int, dtype):
@@ -95,63 +108,72 @@ def _logits(qf, kf, bias, lo, hi, out, spare):
 def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=None):
     """Attention of each block's S queries over its T keys, tile by tile.
 
-    q is (..., d, S) and k, v are (..., d, T), the leading axes indexing
-    items (blocks and heads, batch in front); they are flattened into L items
-    (a copy unless the array is item-contiguous). The logits are K^T Q plus
-    the bias; a k of None leaves the bias alone, and a -inf bias masks a slot
-    out. `bias(lo, hi, out)` returns the bias of items lo:hi, broadcastable
-    to (T, hi - lo, S); out is a free (T, hi - lo, S) scratch it may build
-    the bias in. Per tile the logits are written key slot first into one
-    tile-sized scratch, the bias is added, the softmax is taken over axis 0
-    in place and V @ attn is written into the tile's rows of y. Returns y,
-    (..., d_v, S), and the softmax statistics, a (2, L, S) array of each
-    query's logit max and sum of exponentials, from which the VJP rebuilds
-    the weights. With one-hot values, v = eye(T) broadcast over the items, y
-    is the (..., T, S) weights themselves, exactly.
+    q is (..., d, S), k is (..., d, T) and v is (..., G, d_v, T): G value
+    groups over one key set, group g read by queries g*S/G to (g+1)*S/G, so
+    the logit GEMMs run once per item and the value GEMMs once per group.
+    The leading axes index items (blocks and heads, batch in front); they are
+    flattened into L items (a copy unless the array is item-contiguous). The
+    logits are K^T Q plus the bias; a k of None leaves the bias alone, and a
+    -inf bias masks a slot out. `bias(lo, hi, out)` returns the bias of items
+    lo:hi, broadcastable to (T, hi - lo, S); out is a free (T, hi - lo, S)
+    scratch it may build the bias in. Per tile the logits are written key
+    slot first into one tile-sized scratch, the bias is added, exp(logit -
+    max) is taken over axis 0 in place, each group's V @ exp is written
+    into the tile's rows of y, and y is divided by each query's sum of
+    exponentials: the tile itself is never divided. Returns y, (..., G, d_v,
+    S/G), and the softmax statistics, a (2, L, S) array of each query's
+    logit max and sum of exponentials, from which the VJP rebuilds the
+    weights. With one-hot values, v = eye(T) broadcast over the items, y is
+    the (..., 1, T, S) weights themselves, exactly.
     """
-    qf, vf = _items(q), _items(v)
+    qf, vf = _items(q), _items(v, 3)
     kf = None if k is None else _items(k)
-    items, slots, queries = qf.shape[0], vf.shape[-1], qf.shape[-1]
+    items, groups, slots, queries = qf.shape[0], vf.shape[1], vf.shape[-1], qf.shape[-1]
+    if queries % groups:
+        raise DimensionError(f"{queries} queries do not split into {groups} value groups")
     stats = np.empty((2, items, queries), dtype=q.dtype)
-    y = np.empty((items, vf.shape[-2], queries), dtype=np.result_type(vf, q))
+    y = np.empty(vf.shape[:-1] + (queries // groups,), dtype=np.result_type(vf, q))
     for lo, hi, tile, spare in _tiles(items, slots, queries, q.dtype):
         _logits(qf, kf, bias, lo, hi, tile, spare)
-        softmax_axis(tile, 0, out=tile, stats=stats[:, None, lo:hi])
-        np.matmul(vf[lo:hi], np.moveaxis(tile, 0, -2), out=y[lo:hi])
-    return y.reshape(v.shape[:-1] + (queries,)), stats
+        _exp_stats(tile, 0, tile, stats[:, None, lo:hi])
+        np.matmul(vf[lo:hi], _grouped(tile, groups), out=y[lo:hi])
+        y[lo:hi] /= _grouped(stats[1, None, lo:hi], groups)
+    return y.reshape(v.shape[:-1] + (queries // groups,)), stats
 
 
 def block_attention_vjp(q, k, v, stats, dy, bias=None, on_tile=None):
     """Cotangents (dq, dk, dv) of block_attention given its statistics and
-    bias and the cotangent dy, (..., d_v, S); dk is None when k is, and dq
-    is then zero. k and v are consumed: dk and dv are written over their
-    item arrays, each tile's after that tile's last read. Per tile: the
-    weights are rebuilt bit for bit into one tile-sized scratch, the bias
-    built in a second one, and y recomputed as V @ attn; then the logit
-    cotangent in that second scratch, dv, dq and dk. `on_tile(lo, hi, g)`,
-    if given, sees each tile's logit cotangent g, (T, hi - lo, S), before the
-    next tile overwrites it. The softmax VJP's inner sum over key slots,
-    sum_t attn * (V^T dy), is taken as sum_d dy * y (the FlashAttention
-    row-sum identity). Masked slots have attn == 0 and get a zero logit
-    cotangent."""
-    qf, vf, dyf = _items(q), _items(v), _items(dy)
+    bias and the cotangent dy, (..., G, d_v, S/G); dk is None when k is, and
+    dq is then zero. k and v are consumed: dk and dv are written over their
+    item arrays, each tile's after that tile's last read. Per tile, exp(logit
+    - max) is rebuilt bit for bit into one tile-sized scratch, with the bias
+    built in a second one, which then takes the logit cotangent g. The tile
+    is not divided: with dys = dy / sum and attn = exp / sum, dv = dys @
+    exp^T and g = exp * (V^T dys - inner / sum), the softmax VJP's inner sum
+    over key slots, sum_t attn * (V^T dy), being sum_t exp * (V^T dys), one
+    reduction over the tile. Masked slots have exp == 0 and get a zero g.
+    `on_tile(lo, hi, g)`, if given, sees each tile's g, (T, hi - lo, S),
+    before the next tile overwrites it."""
+    qf, vf, dyf = _items(q), _items(v, 3), _items(dy, 3)
     kf = None if k is None else _items(k)
+    groups = vf.shape[1]
     dq = (np.zeros(qf.shape, dtype=qf.dtype) if kf is None
           else np.empty(qf.shape, dtype=np.result_type(kf, q)))
-    for lo, hi, a, g in _tiles(qf.shape[0], vf.shape[-1], qf.shape[-1], qf.dtype):
-        _logits(qf, kf, bias, lo, hi, a, g)
-        a -= stats[0, None, lo:hi]
-        np.exp(a, out=a)
-        a /= stats[1, None, lo:hi]
-        a_ts, g_ts = np.moveaxis(a, 0, -2), np.moveaxis(g, 0, -2)
-        inner = np.einsum("...ds,...ds->...s", dyf[lo:hi], vf[lo:hi] @ a_ts)
-        np.matmul(np.swapaxes(vf[lo:hi], -2, -1), dyf[lo:hi], out=g_ts)
-        np.matmul(dyf[lo:hi], np.swapaxes(a_ts, -2, -1), out=vf[lo:hi])
+    for lo, hi, e, g in _tiles(qf.shape[0], vf.shape[-1], qf.shape[-1], qf.dtype):
+        _logits(qf, kf, bias, lo, hi, e, g)
+        e -= stats[0, None, lo:hi]
+        np.exp(e, out=e)
+        dys = dyf[lo:hi] / _grouped(stats[1, None, lo:hi], groups)
+        np.matmul(np.swapaxes(vf[lo:hi], -2, -1), dys, out=_grouped(g, groups))
+        np.matmul(dys, np.swapaxes(_grouped(e, groups), -2, -1), out=vf[lo:hi])
+        inner = np.einsum("tns,tns->ns", e, g)
+        inner /= stats[1, lo:hi]
         g -= inner
-        g *= a
+        g *= e
         if on_tile is not None:
             on_tile(lo, hi, g)
         if kf is not None:
+            g_ts = np.moveaxis(g, 0, -2)
             np.matmul(kf[lo:hi], g_ts, out=dq[lo:hi])
             np.matmul(qf[lo:hi], np.swapaxes(g_ts, -2, -1), out=kf[lo:hi])
     dk = None if kf is None else kf.reshape(k.shape)

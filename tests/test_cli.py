@@ -61,6 +61,8 @@ class TestExitCodes:
         ["count", "--num-classes", "0"],
         ["count", "--bn-decay", "2"],
         ["count", "--bn-decay", "0"],
+        ["count", "--width-multiplier", "inf"],
+        ["count", "--width-multiplier", "nan"],
         ["train", "--batch-size", "0"] + TINY_MODEL + TINY_DATA,
         ["train", "--data-limit", "-5"] + TINY_MODEL + TINY_DATA,
         ["train", "--data-size", "0"] + TINY_MODEL + TINY_DATA[:-2],
@@ -70,12 +72,19 @@ class TestExitCodes:
         ["parity", "--d", "0"],
     ], ids=["depth-44", "heads-0", "even-k", "stem-mixtures-0", "stem-d-emb-0",
             "resolution-negative", "resolution-0", "num-classes-0", "bn-decay-2",
-            "bn-decay-0", "batch-size-0", "data-limit-negative", "data-size-0",
+            "bn-decay-0", "width-multiplier-inf", "width-multiplier-nan", "batch-size-0",
+            "data-limit-negative", "data-size-0",
             "parity-mode", "parity-heads-0", "parity-conv-k-negative", "parity-d-0"])
     def test_invalid_configuration_fails_cleanly(self, argv, capsys):
         code, _, err = _cli(argv, capsys)
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_width_multiplier_is_named(self, value, capsys):
+        code, _, err = _cli(["count", "--width-multiplier", value], capsys)
+        assert code == 1
+        assert err == f"error: width_multiplier must be positive and finite, got {value}\n"
 
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -369,11 +369,11 @@ def _stem(seed=0, **kwargs):
                          **kwargs)
 
 
-def _stem_and_oracle(shape, mixtures=4):
+def _stem_and_oracle(shape, mixtures=4, heads=4):
     """Inference-mode stem output and the compositional oracle's, on a
     random input of `shape` with random running statistics."""
     rng = np.random.default_rng(20)
-    stem = _stem(21, mixtures=mixtures)
+    stem = _stem(21, mixtures=mixtures, heads=heads)
     stem.norm.running_mean = rng.standard_normal(8)
     stem.norm.running_var = rng.uniform(0.5, 2.0, 8)
     x = rng.standard_normal(shape)
@@ -409,6 +409,18 @@ class TestAttentionStem:
     @pytest.mark.parametrize("shape, mixtures", STEM_EDGE_SHAPES)
     def test_gradcheck_at_edge_shapes(self, shape, mixtures):
         report = gradcheck(_stem(30, mixtures=mixtures), shape, tolerance=1e-4, seed=31)
+        assert report.passed, report.per_entry
+
+    # the heads share one key set through A_h = W_K,h^T W_Q,h; the oracle
+    # projects each head's queries and keys apart
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_compositional_oracle_per_head_count(self, heads):
+        y, want = _stem_and_oracle((2, 3, 8, 12), heads=heads)
+        np.testing.assert_allclose(y, want, atol=1e-8)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradcheck_per_head_count(self, heads):
+        report = gradcheck(_stem(30, heads=heads), (2, 3, 8, 8), tolerance=1e-4, seed=31)
         assert report.passed, report.per_entry
 
     def test_non_finite_query_weights_raise(self):
@@ -465,7 +477,7 @@ class TestAttentionStem:
         # and sum; with the norm's x_hat and the pool's argmax that is 14.5
         # MiB at this shape (22.5 MiB while the block input and y were
         # saved, 50.5 MiB while the 32 MiB of weights were). Backward
-        # rebuilds the block input and projects Q, K and V (24 MiB here)
+        # rebuilds the block input and projects q' and V (14 MiB here)
         # again from the 3-channel input rather than keep them.
         stem = AttentionStem(3, 16, rng=np.random.default_rng(35))
         x = np.random.default_rng(36).standard_normal((128, 3, 32, 32)).astype(np.float32)
@@ -483,11 +495,12 @@ class TestAttentionStem:
 
     def test_passes_allocate_no_logits_sized_temporary(self):
         # the weights (32 MiB here) exist one tile at a time, and backward
-        # writes dK and dV over K and V. Measured 45.0 MiB forward (Q, K, V,
-        # y and the norm and pool temporaries) and 33.1 MiB backward (the
-        # rebuilt block input included); with y and the block input saved it
-        # was 54.5 and 31.6 MiB, with the weights saved whole 82.5 and 47.3
-        # MiB, and with a second logits-sized copy 97.5 and 108.5 MiB.
+        # writes dk' and dV over a copy of the block input and V. Measured
+        # 45.0 MiB forward (the norm and pool temporaries) and 22.8 MiB
+        # backward (the rebuilt block input included); 45.0 and 33.1 MiB
+        # while each head had its own keys, with y and the block input saved
+        # 54.5 and 31.6 MiB, with the weights saved whole 82.5 and 47.3 MiB,
+        # and with a second logits-sized copy 97.5 and 108.5 MiB.
         stem = AttentionStem(3, 16, rng=np.random.default_rng(38))
         forward, backward = _traced_peaks_mib(stem, (128, 3, 32, 32))
         assert forward < 48.0
@@ -715,18 +728,22 @@ class TestReferenceOracles:
                                               **params)
         assert np.max(np.abs(y - wrong)) > 1e-3
 
-    @pytest.mark.parametrize("swap", ["emb", "nu-rows"])
+    @pytest.mark.parametrize("swap", ["emb", "nu-rows", "qk"])
     def test_stem_oracle_detects_swapped_parameters(self, swap):
         stem = _stem(43)
         x = np.random.default_rng(44).standard_normal((2, 3, 8, 12))
         y, _ = stem.forward(x, training=False)
-        params = {"emb_row": stem.emb_row, "emb_col": stem.emb_col, "nu": stem.nu}
+        params = {"w_q": stem.W_Q, "w_k": stem.W_K, "emb_row": stem.emb_row,
+                  "emb_col": stem.emb_col, "nu": stem.nu}
         if swap == "emb":
             params["emb_row"], params["emb_col"] = stem.emb_col, stem.emb_row
+        elif swap == "qk":
+            # W_Q and W_K swapped transposes each head's A_h
+            params["w_q"], params["w_k"] = stem.W_K, stem.W_Q
         else:
             params["nu"] = np.roll(stem.nu, 1, axis=0)
         wrong = ref.stem_attention_reference(
-            x, stem.W_Q, stem.W_K, stem.W_V, heads=stem.heads, gamma=stem.norm.gamma,
+            x, w_v=stem.W_V, heads=stem.heads, gamma=stem.norm.gamma,
             beta=stem.norm.beta, running_mean=stem.norm.running_mean,
             running_var=stem.norm.running_var, epsilon=stem.norm.epsilon, **params)
         assert np.max(np.abs(y - wrong)) > 1e-3

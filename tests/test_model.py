@@ -221,6 +221,16 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=f"not UTF-8 at byte offset {name_at}"):
             load_checkpoint(str(bad))
 
+    def test_entry_whose_size_overflows_int64_rejected_by_name(self, tmp_path):
+        # 2**31 * 2**31 * 4 elements is 2**64, which an int64 product wraps to 0
+        name = b"huge"
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 1)
+                         + struct.pack("<H", len(name)) + name + struct.pack("<BB", 0, 3)
+                         + struct.pack("<3I", 2 ** 31, 2 ** 31, 4) + b"\x00" * 16)
+        with pytest.raises(CheckpointError, match=f"huge needs {2 ** 66} bytes"):
+            load_checkpoint(str(path))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "trail.ckpt")
         save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})

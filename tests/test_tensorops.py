@@ -6,7 +6,7 @@ out-of-image slots marked by window_validity)."""
 import numpy as np
 import pytest
 
-from localattn.errors import DegenerateGroupError, UnsupportedExtentError
+from localattn.errors import DegenerateGroupError, DimensionError, UnsupportedExtentError
 from localattn.tensorops import (TILE_BYTES, block_attention, block_attention_vjp, pad_hw,
                                  sliding_windows, softmax_axis, softmax_vjp, window_slices,
                                  window_validity)
@@ -112,10 +112,12 @@ class TestSoftmaxMiddleAxis:
 
 def _dense_attention(q, k, v, bias, dy):
     """Per-item reference for block_attention and its VJP on (L, d, S) q,
-    (L, d, T) k and v and a (T, L, S) bias: the weights (T, L, S), y, and
-    the cotangents dq, dk, dv and the logit cotangent (T, L, S), with the
-    softmax VJP's inner sum taken over key slots."""
-    items, slots = v.shape[0], v.shape[-1]
+    (L, d, T) k, (L, G, d_v, T) v and a (T, L, S) bias, group g of v read by
+    queries g*S/G to (g+1)*S/G: the weights (T, L, S), y, and the cotangents
+    dq, dk, dv and the logit cotangent (T, L, S), with the softmax VJP's
+    inner sum taken over key slots."""
+    items, groups = v.shape[:2]
+    width = bias.shape[-1] // groups
     attn = np.empty(bias.shape)
     dlogits = np.empty(bias.shape)
     y, dq, dv = (np.empty_like(a) for a in (dy, q, v))
@@ -124,8 +126,12 @@ def _dense_attention(q, k, v, bias, dy):
         logits = bias[:, i] + (0.0 if k is None else k[i].T @ q[i])          # (T, S)
         e = np.exp(logits - logits.max(axis=0))
         a = e / e.sum(axis=0)
-        attn[:, i], y[i], dv[i] = a, v[i] @ a, dy[i] @ a.T
-        da = v[i].T @ dy[i]
+        da = np.empty_like(a)
+        for g in range(groups):
+            cols = slice(g * width, (g + 1) * width)
+            y[i, g], dv[i, g] = v[i, g] @ a[:, cols], dy[i, g] @ a[:, cols].T
+            da[:, cols] = v[i, g].T @ dy[i, g]
+        attn[:, i] = a
         g = a * (da - (a * da).sum(axis=0))
         dlogits[:, i] = g
         if k is not None:
@@ -138,7 +144,8 @@ def _items_per_tile(slots, queries):
 
 
 # (items, d, T, S), f64: three full tiles and a partial fourth, fewer items
-# than one tile, and items larger than a tile (one item per tile)
+# than one tile, and items larger than a tile (one item per tile); and for
+# value groups, two full tiles and a partial third with S = 16 queries
 TILE_CASES = {
     "partial-last-tile": lambda: (3 * _items_per_tile(12, 10) + 7, 3, 12, 10),
     "under-one-tile": lambda: (5, 4, 9, 6),
@@ -146,20 +153,72 @@ TILE_CASES = {
 }
 
 
-def _tile_case(case, masked, keyless, seed=40):
-    items, d, slots, queries = TILE_CASES[case]()
+def _grouped_case():
+    return 2 * _items_per_tile(12, 16) + 5, 3, 12, 16
+
+
+def _tile_case(dims, masked, keyless, groups=1, seed=40):
+    items, d, slots, queries = dims
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((items, d, queries))
     k = None if keyless else rng.standard_normal((items, d, slots))
-    v = rng.standard_normal((items, d + 1, slots))
+    v = rng.standard_normal((items, groups, d + 1, slots))
     bias = rng.standard_normal((slots, items, queries))
     if masked:
         keep = rng.random(bias.shape) < 0.5
         keep[rng.integers(slots, size=(items, queries)),
              np.arange(items)[:, None], np.arange(queries)] = True
         bias[~keep] = -np.inf
-    dy = rng.standard_normal((items, d + 1, queries))
+    dy = rng.standard_normal((items, groups, d + 1, queries // groups))
     return q, k, v, bias, dy
+
+
+def _check_against_dense(q, k, v, bias, dy):
+    """block_attention and its VJP on (q, k, v, bias, dy) of _tile_case
+    against _dense_attention at 1e-12: y, the weights, dq, dk, dv and every
+    tile's logit cotangent, in order."""
+    slots, items, queries = bias.shape
+    # leading axes (2, items/2) where they split, to flatten two of them
+    lead = (2, items // 2) if items % 2 == 0 else (items,)
+    def shaped(t):
+        return None if t is None else t.reshape(lead + t.shape[1:]).copy()
+    def tile_bias(lo, hi, out):
+        return bias[:, lo:hi]
+    want_attn, want_y, want_dq, want_dk, want_dv, want_g = _dense_attention(q, k, v, bias, dy)
+
+    y, stats = block_attention(shaped(q), shaped(k), shaped(v), tile_bias)
+    assert y.shape == lead + dy.shape[1:]
+    assert stats.shape == (2, items, queries)
+    np.testing.assert_allclose(y.reshape(want_y.shape), want_y, rtol=0, atol=1e-12)
+    # with one-hot values, eye(T) as one group, y is the weights themselves
+    one_hot = np.broadcast_to(np.eye(slots), lead + (1, slots, slots))
+    attn, _ = block_attention(shaped(q), shaped(k), one_hot, tile_bias)
+    np.testing.assert_allclose(np.moveaxis(attn.reshape(items, slots, queries), 1, 0),
+                               want_attn, rtol=0, atol=1e-12)
+
+    seen = []
+    key, value = shaped(k), shaped(v)
+    dq, dk, dv = block_attention_vjp(
+        shaped(q), key, value, stats, shaped(dy), tile_bias,
+        lambda lo, hi, g: seen.append((lo, hi, g.copy())))
+    c = _items_per_tile(slots, queries)
+    assert [(lo, hi) for lo, hi, _ in seen] == [
+        (lo, min(lo + c, items)) for lo in range(0, items, c)]
+    got_g = np.concatenate([g for _, _, g in seen], axis=1)
+    np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dv.reshape(want_dv.shape), want_dv, rtol=0, atol=1e-12)
+    # dk and dv are written over k and v
+    assert np.shares_memory(dv, value)
+    assert dq.shape == lead + q.shape[1:]
+    if k is None:
+        # keyless logits do not depend on q
+        assert dk is None
+        np.testing.assert_array_equal(dq, 0.0)
+    else:
+        assert np.shares_memory(dk, key)
+        np.testing.assert_allclose(dq.reshape(want_dq.shape), want_dq, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dk.reshape(want_dk.shape), want_dk, rtol=0, atol=1e-12)
+    return seen
 
 
 class TestBlockAttentionTiles:
@@ -167,51 +226,23 @@ class TestBlockAttentionTiles:
     @pytest.mark.parametrize("keyless", [False, True], ids=["qk", "k-none"])
     @pytest.mark.parametrize("case", TILE_CASES)
     def test_matches_dense_per_item_reference(self, case, keyless, masked):
-        q, k, v, bias, dy = _tile_case(case, masked, keyless)
-        slots, items, queries = bias.shape
-        # leading axes (2, items/2) where they split, to flatten two of them
-        lead = (2, items // 2) if items % 2 == 0 else (items,)
-        def shaped(t):
-            return None if t is None else t.reshape(lead + t.shape[1:]).copy()
-        def tile_bias(lo, hi, out):
-            return bias[:, lo:hi]
-        want_attn, want_y, want_dq, want_dk, want_dv, want_g = _dense_attention(q, k, v, bias, dy)
+        _check_against_dense(*_tile_case(TILE_CASES[case](), masked, keyless))
 
-        y, stats = block_attention(shaped(q), shaped(k), shaped(v), tile_bias)
-        assert y.shape == lead + (v.shape[1], queries)
-        assert stats.shape == (2, items, queries)
-        np.testing.assert_allclose(y.reshape(want_y.shape), want_y, rtol=0, atol=1e-12)
-        # with one-hot values, eye(T), y is the weights themselves
-        one_hot = np.broadcast_to(np.eye(slots), lead + (slots, slots))
-        attn, _ = block_attention(shaped(q), shaped(k), one_hot, tile_bias)
-        np.testing.assert_allclose(np.moveaxis(attn.reshape(items, slots, queries), 1, 0),
-                                   want_attn, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    @pytest.mark.parametrize("groups", [2, 4])
+    def test_value_groups_match_dense_per_item_reference(self, groups, masked):
+        # G value groups over one key set, as the attention stem's heads
+        seen = _check_against_dense(*_tile_case(_grouped_case(), masked, False, groups))
+        assert len(seen) == 3 and seen[-1][1] - seen[-1][0] < seen[0][1] - seen[0][0]
 
-        seen = []
-        key, value = shaped(k), shaped(v)
-        dq, dk, dv = block_attention_vjp(
-            shaped(q), key, value, stats, shaped(dy), tile_bias,
-            lambda lo, hi, g: seen.append((lo, hi, g.copy())))
-        c = _items_per_tile(slots, queries)
-        assert [(lo, hi) for lo, hi, _ in seen] == [
-            (lo, min(lo + c, items)) for lo in range(0, items, c)]
-        got_g = np.concatenate([g for _, _, g in seen], axis=1)
-        np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dv.reshape(want_dv.shape), want_dv, rtol=0, atol=1e-12)
-        # dk and dv are written over k and v
-        assert np.shares_memory(dv, value)
-        assert dq.shape == lead + q.shape[1:]
-        if keyless:
-            # keyless logits do not depend on q
-            assert dk is None
-            np.testing.assert_array_equal(dq, 0.0)
-        else:
-            assert np.shares_memory(dk, key)
-            np.testing.assert_allclose(dq.reshape(want_dq.shape), want_dq, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dk.reshape(want_dk.shape), want_dk, rtol=0, atol=1e-12)
+    def test_queries_must_split_into_the_value_groups(self):
+        q, k, v, bias, dy = _tile_case((2, 3, 4, 6), False, False, groups=4)
+        with pytest.raises(DimensionError, match="6 queries"):
+            block_attention(q, k, v)
 
     def test_degenerate_group_in_the_last_tile_raises(self):
-        q, k, v, bias, dy = _tile_case("partial-last-tile", masked=True, keyless=False)
+        q, k, v, bias, dy = _tile_case(TILE_CASES["partial-last-tile"](), masked=True,
+                                       keyless=False)
         bias[:, -1, 3] = -np.inf                     # one group of the last item
         with pytest.raises(DegenerateGroupError, match="in 1 group"):
             block_attention(q, k, v, lambda lo, hi, out: bias[:, lo:hi])

@@ -460,11 +460,12 @@ class TestStepMemory:
     once its layer has run, composites pop their children's, and train_step
     lets its logits, tape and gradients die with it. So consecutive desk
     steps (batch 128, f32) peak at the same height above the memory in use
-    before the first. Traced at 47.0 MiB, in the stem's backward. It was
-    55.0 MiB while the stem saved its block input and output, 98.8 MiB
-    with the attention weights saved in the contexts, 163 MiB for a step
-    that kept its whole tape through backward, and 175.7 MiB for one that
-    also kept the previous step's tape alive into the next forward."""
+    before the first. Traced at 45.1 MiB. It was 47.0 MiB, in the stem's
+    backward, while the stem's heads had keys of their own, 55.0 MiB while
+    the stem saved its block input and output, 98.8 MiB with the attention
+    weights saved in the contexts, 163 MiB for a step that kept its whole
+    tape through backward, and 175.7 MiB for one that also kept the
+    previous step's tape alive into the next forward."""
 
     BOUND_MIB = 52.0
 

@@ -1,6 +1,7 @@
 """One schema for the configuration records (ModelSpec, TrainConfig,
-DatasetSource): config keys, text codecs and command-line flag types all come
-from `dataclasses.fields` and one codec per field type.
+DatasetSource): config keys, text codecs, command-line flag types and the
+input contract all come from `dataclasses.fields` and one codec per field
+type.
 
 Field types are int, float, bool, str, a comma-separated tuple of one of
 these, and any of these `| None`. Values are written as `str` for ints,
@@ -8,12 +9,20 @@ these, and any of these `| None`. Values are written as `str` for ints,
 value is omitted. Bools read true/false/1/0/yes/no in any case. An empty value
 means "unset" (None) for a field whose type admits None and is malformed for
 any other field.
+
+The input contract: `within(default, valid)` declares beside a field's type
+its valid set, applied to each item of a tuple: an interval such as "[1, inf)",
+where a round bracket leaves its end out (nan lies in no interval, and no float
+field's interval holds inf), or a tuple of allowed strings. Construction checks
+each field once and raises ConfigurationError("<key> must lie in [1, inf), got
+0") for the first value outside its set. Cross-field rules stay in the records.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -37,14 +46,60 @@ _SCALARS = {
 }
 
 
+def within(default, valid: str | tuple[str, ...]):
+    """A dataclass field whose value, or each item of a tuple value, lies in
+    `valid`: an interval such as "(0, 1)" or "[1, inf)", or allowed strings."""
+    if not isinstance(valid, str):
+        return dataclasses.field(default=default, metadata={"choices": valid})
+    low, high = (float(end) for end in valid[1:-1].split(","))
+    interval = Interval(low, high, valid[0] == "(", valid[-1] == ")", valid)
+    return dataclasses.field(default=default, metadata={"interval": interval})
+
+
+class Interval(typing.NamedTuple):
+    """Numbers from `low` to `high`, declared like "[0, 1)": a round bracket
+    leaves its end out. nan lies in no interval."""
+    low: float
+    high: float
+    open_low: bool
+    open_high: bool
+    text: str                   # as declared
+
+    def holds(self, item) -> bool:
+        above = self.low < item if self.open_low else self.low <= item
+        below = item < self.high if self.open_high else item <= self.high
+        return above and below
+
+    def rule(self) -> str:
+        """What `holds` asks, in words."""
+        if (self.low, self.open_low, self.high) == (0, True, math.inf):
+            return "be positive and finite"
+        return f"lie in {self.text}"
+
+
 class Field(typing.NamedTuple):
     name: str                   # dataclass field name
     key: str                    # config key and CLI dest
     parse: typing.Callable      # text -> value, ValueError on malformed text
     format: typing.Callable     # value -> text
+    choices: tuple[str, ...] | None     # the strings each item may be
+    interval: Interval | None           # the numbers each item may be
+
+    def check(self, value) -> None:
+        """ConfigurationError for the first item of `value` outside the
+        field's valid set."""
+        if value is None:
+            return
+        items = value if isinstance(value, tuple) else (value,)
+        for item in items:
+            if self.choices is not None and item not in self.choices:
+                raise ConfigurationError(
+                    f"{self.key} must be one of {', '.join(self.choices)}, got {item!r}")
+            if self.interval is not None and not self.interval.holds(item):
+                raise ConfigurationError(f"{self.key} must {self.interval.rule()}, got {item!r}")
 
 
-def _field(name: str, key: str, hint) -> Field:
+def _field(f: dataclasses.Field, key: str, hint) -> Field:
     optional = typing.get_origin(hint) in (typing.Union, types.UnionType)
     if optional:
         (hint,) = set(typing.get_args(hint)) - {type(None)}
@@ -71,12 +126,13 @@ def _field(name: str, key: str, hint) -> Field:
             raise ValueError(f"expected {expected}, got {text!r}") from None
 
     parse.__name__ = type_name      # argparse reports "invalid <type_name> value"
-    return Field(name, key, parse, format_value)
+    return Field(f.name, key, parse, format_value, f.metadata.get("choices"),
+                 f.metadata.get("interval"))
 
 
 class ConfigRecord:
     """Mixin for a dataclass written as `key = value` text; each key is
-    KEY_PREFIX followed by the field name."""
+    KEY_PREFIX followed by the field name. Construction checks every field."""
 
     KEY_PREFIX = ""
 
@@ -84,21 +140,16 @@ class ConfigRecord:
     @functools.cache
     def config_fields(cls) -> tuple[Field, ...]:
         hints = typing.get_type_hints(cls)
-        return tuple(_field(f.name, cls.KEY_PREFIX + f.name, hints[f.name])
+        return tuple(_field(f, cls.KEY_PREFIX + f.name, hints[f.name])
                      for f in dataclasses.fields(cls))
+
+    def __post_init__(self):
+        for f in self.config_fields():
+            f.check(getattr(self, f.name))
 
     def to_mapping(self) -> dict[str, str]:
         values = ((f, getattr(self, f.name)) for f in self.config_fields())
         return {f.key: f.format(value) for f, value in values if value is not None}
-
-    def require_positive(self, *names: str) -> None:
-        """Raise ConfigurationError for the first of the fields `names` whose
-        value is set and below 1."""
-        for name in names:
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigurationError(
-                    f"{self.KEY_PREFIX}{name} must be at least 1, got {value}")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str], **overrides):

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .layers import (MODES, AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool,
-                     Linear, LocalAttention, MaxPool, ReLU)
+from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool, Linear,
+                     LocalAttention, MaxPool, ReLU, attention_head_width)
 from .model import Bottleneck, ModelSpec, plan
 
 CONVENTION = "macx2-v1"
@@ -84,14 +84,10 @@ class CostReport:
 
 def attention_unit_costs(d_in: int, d_out: int, k: int, heads: int, mode: str):
     """(params, positional params, flops per pixel) for one attention layer."""
-    if mode not in MODES:
-        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-    if heads < 1:
-        raise ConfigurationError(f"heads must be at least 1, got {heads}")
+    d_head = attention_head_width(d_in, d_out, heads, mode)
     transforms = 2 if mode == "relative_only" else 3
     params = transforms * d_in * d_out
-    positional = 2 * (2 * k - 1) * (d_out // heads) // 2 if mode in (
-        "relative", "relative_only") else 0
+    positional = (2 * k - 1) * d_head if mode in ("relative", "relative_only") else 0
     per_pixel = 2 * transforms * d_in * d_out
     logit_terms = 0
     if mode != "relative_only":

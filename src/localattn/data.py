@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigRecord
-from .errors import ConfigurationError, IngestionError
+from .config import ConfigRecord, within
+from .errors import IngestionError
 
 RECORD_BYTES = 3073
 IMAGE_SHAPE = (3, 32, 32)
@@ -46,20 +46,13 @@ class DatasetSource(ConfigRecord):
 
     KEY_PREFIX = "data_"
 
-    kind: str = "synthetic"
+    kind: str = within("synthetic", ("cifar10_binary", "synthetic"))
     path: str | None = None
-    task: str = "blocks"
-    size: int = 6000
-    seed: int = 0
-    limit: int | None = None
-    val_fraction: float = 0.2
-
-    def __post_init__(self):
-        if self.kind not in ("cifar10_binary", "synthetic"):
-            raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigurationError(f"val_fraction must be in (0,1), got {self.val_fraction}")
-        self.require_positive("size", "limit")
+    task: str = within("blocks", ("blocks", "separable"))
+    size: int = within(6000, "[1, inf)")
+    seed: int = within(0, "[0, inf)")
+    limit: int | None = within(None, "[1, inf)")
+    val_fraction: float = within(0.2, "(0, 1)")
 
 
 DATA_CONFIG_KEYS = frozenset(f.key for f in DatasetSource.config_fields())
@@ -174,14 +167,8 @@ def synthetic_separable(n: int, seed: int = 0, size: int = 32):
     return x, y
 
 
-def load_synthetic(source: DatasetSource):
-    maker = {"blocks": synthetic_blocks, "separable": synthetic_separable}.get(source.task)
-    if maker is None:
-        raise ConfigurationError(f"unknown synthetic task {source.task!r}")
-    return _split(*maker(source.size, seed=source.seed), source)
-
-
 def load_data(source: DatasetSource):
     if source.kind == "cifar10_binary":
         return load_cifar10(source)
-    return load_synthetic(source)
+    maker = {"blocks": synthetic_blocks, "separable": synthetic_separable}[source.task]
+    return _split(*maker(source.size, seed=source.seed), source)

@@ -29,6 +29,23 @@ from .tensorops import (block_attention, block_attention_vjp, pad_hw, softmax_ax
 MODES = ("none", "absolute", "relative", "relative_only")
 
 
+def attention_head_width(d_in: int, d_out: int, heads: int, encoding_mode: str) -> int:
+    """d_head of a LocalAttention layer; ConfigurationError for sizes and a
+    mode the layer cannot be built with."""
+    if encoding_mode not in MODES:
+        raise ConfigurationError(f"encoding_mode must be one of {MODES}, got {encoding_mode!r}")
+    if heads < 1 or d_out % heads or d_in % heads:
+        raise ConfigurationError(
+            f"heads={heads} must be positive and divide d_in={d_in} and d_out={d_out}")
+    d_head = d_out // heads
+    if encoding_mode in ("relative", "relative_only") and d_head % 2:
+        raise ConfigurationError(f"relative modes need even d_head, got {d_head}")
+    if encoding_mode == "absolute" and d_in % 2:
+        raise ConfigurationError(
+            f"absolute mode splits input channels into row/column halves; d_in={d_in} is odd")
+    return d_head
+
+
 def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
@@ -263,23 +280,9 @@ class LocalAttention:
     def __init__(self, d_in: int, d_out: int, k: int, heads: int,
                  encoding_mode: str = "relative",
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        if encoding_mode not in MODES:
-            raise ConfigurationError(
-                f"encoding_mode must be one of {MODES}, got {encoding_mode!r}")
         if k < 1 or k % 2 == 0:
             raise UnsupportedExtentError(f"attention extent must be odd, got {k}")
-        if d_out % heads or d_in % heads:
-            raise ConfigurationError(
-                f"d_in={d_in} and d_out={d_out} must be divisible by heads={heads}")
-        d_head = d_out // heads
-        relative = encoding_mode in ("relative", "relative_only")
-        if relative and d_head % 2:
-            raise ConfigurationError(
-                f"relative modes need even d_head, got {d_head}")
-        if encoding_mode == "absolute" and d_in % 2:
-            raise ConfigurationError(
-                f"absolute mode splits input channels into row/column halves; "
-                f"d_in={d_in} is odd")
+        d_head = attention_head_width(d_in, d_out, heads, encoding_mode)
         rng = rng or np.random.default_rng(0)
         self.d_in, self.d_out, self.k, self.heads = d_in, d_out, k, heads
         self.d_head = d_head
@@ -288,7 +291,7 @@ class LocalAttention:
         self.W_K = None if encoding_mode == "relative_only" else he_normal(
             rng, (d_out, d_in), d_in, dtype)
         self.W_V = he_normal(rng, (d_out, d_in), d_in, dtype)
-        if relative:
+        if encoding_mode in ("relative", "relative_only"):
             std = 1.0 / np.sqrt(d_head // 2)
             self.row_emb = (rng.standard_normal((2 * k - 1, d_head // 2)) * std).astype(dtype)
             self.col_emb = (rng.standard_normal((2 * k - 1, d_head // 2)) * std).astype(dtype)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import GradTape
-from .config import ConfigRecord
+from .config import ConfigRecord, within
 from .errors import CheckpointError, ConfigurationError, ConstructionError, ResolutionError
 from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool, Linear,
                      LocalAttention, MaxPool, ReLU, Sequential, MODES)
@@ -34,6 +34,7 @@ DEPTH_BLOCKS = {50: (3, 4, 6, 3), 38: (2, 3, 5, 2), 26: (1, 2, 4, 1)}
 GROUP_TAGS = ("conv", "attention")
 STEMS = ("conv_stem", "attention_stem")
 EXPANSION = 4
+MAX_WIDTH = 2 ** 20        # channels; far wider than any model this code can run
 
 
 @dataclass
@@ -47,19 +48,19 @@ class ModelSpec(ConfigRecord):
     """
 
     depth: int = 50
-    block_counts: tuple[int, ...] | None = None
-    width_multiplier: float = 1.0
-    groups: tuple[str, ...] = ("conv", "conv", "conv", "conv")
-    stem: str = "conv_stem"
-    k: int = 7
-    heads: int = 8
-    encoding_mode: str = "relative"
-    num_classes: int = 1000
-    input_resolution: int = 224
+    block_counts: tuple[int, ...] | None = within(None, "[1, inf)")
+    width_multiplier: float = within(1.0, "(0, inf)")
+    groups: tuple[str, ...] = within(("conv", "conv", "conv", "conv"), GROUP_TAGS)
+    stem: str = within("conv_stem", STEMS)
+    k: int = within(7, "[1, inf)")
+    heads: int = within(8, f"[1, {MAX_WIDTH}]")
+    encoding_mode: str = within("relative", MODES)
+    num_classes: int = within(1000, "[1, inf)")
+    input_resolution: int = within(224, "[1, inf)")
     small_input: bool = False
-    stem_mixtures: int = 4
-    stem_d_emb: int = 16
-    bn_decay: float = 0.9
+    stem_mixtures: int = within(4, "[1, inf)")
+    stem_d_emb: int = within(16, "[1, inf)")
+    bn_decay: float = within(0.9, "(0, 1)")
 
     def __post_init__(self):
         if self.block_counts is None:
@@ -68,35 +69,19 @@ class ModelSpec(ConfigRecord):
                     f"depth must be one of {sorted(DEPTH_BLOCKS)} unless "
                     f"block_counts is given, got {self.depth}")
             self.block_counts = DEPTH_BLOCKS[self.depth]
-            if len(self.groups) != 4:
-                raise ConfigurationError(
-                    f"canonical depth {self.depth} has 4 groups, got tags {self.groups}")
         self.block_counts = tuple(int(c) for c in self.block_counts)
         self.groups = tuple(self.groups)
-        if len(self.groups) != len(self.block_counts):
+        super().__post_init__()
+        if not 0 < len(self.groups) == len(self.block_counts) <= len(BASE_WIDTHS):
+            raise ConfigurationError(f"need 1 to {len(BASE_WIDTHS)} groups, one tag per block "
+                                     f"count, got {self.block_counts} and {self.groups}")
+        if self.k % 2 == 0:
+            raise ConfigurationError(f"k must be odd, got {self.k}")
+        widest_base = BASE_WIDTHS[len(self.groups) - 1]
+        if self.width_multiplier * widest_base > MAX_WIDTH or max(self.widths) > MAX_WIDTH:
             raise ConfigurationError(
-                f"{len(self.block_counts)} block counts but {len(self.groups)} group tags")
-        if not self.block_counts or min(self.block_counts) < 1:
-            raise ConfigurationError(f"block counts must be positive, got {self.block_counts}")
-        if len(self.block_counts) > len(BASE_WIDTHS):
-            raise ConfigurationError(
-                f"at most {len(BASE_WIDTHS)} groups supported, got {len(self.block_counts)}")
-        for tag in self.groups:
-            if tag not in GROUP_TAGS:
-                raise ConfigurationError(f"group tag must be conv or attention, got {tag!r}")
-        if self.stem not in STEMS:
-            raise ConfigurationError(f"stem must be one of {STEMS}, got {self.stem!r}")
-        if self.encoding_mode not in MODES:
-            raise ConfigurationError(f"unknown encoding_mode {self.encoding_mode!r}")
-        if not 0 < self.width_multiplier < math.inf:
-            raise ConfigurationError(
-                f"width_multiplier must be positive and finite, got {self.width_multiplier}")
-        self.require_positive("heads", "stem_mixtures", "stem_d_emb", "num_classes",
-                              "input_resolution")
-        if not 0 < self.bn_decay < 1:
-            raise ConfigurationError(f"bn_decay must lie in (0, 1), got {self.bn_decay}")
-        if self.k < 1 or self.k % 2 == 0:
-            raise ConfigurationError(f"k must be odd and positive, got {self.k}")
+                f"width_multiplier and heads must keep groups at most {MAX_WIDTH} channels "
+                f"wide, got width_multiplier={self.width_multiplier!r} and heads={self.heads}")
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -136,8 +121,12 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def read_config(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return parse_config_text(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 at byte offset {exc.start}") from None
 
 
 def _instantiate(chain) -> list[tuple[str, object]]:
@@ -390,7 +379,11 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         if offset + n_bytes > len(blob):
             raise CheckpointError(
                 f"truncated checkpoint: {name} needs {n_bytes} bytes at offset {offset}")
-        out[name] = np.frombuffer(blob[offset:offset + n_bytes], dtype=dtype).reshape(shape).copy()
+        data = np.frombuffer(blob[offset:offset + n_bytes], dtype=dtype)
+        try:        # a zero dimension lets any other dimensions through the size check
+            out[name] = data.reshape(shape).copy()
+        except ValueError:
+            raise CheckpointError(f"{name}: numpy cannot hold shape {shape}") from None
         offset += n_bytes
     if offset != len(blob):
         raise CheckpointError(f"{len(blob) - offset} trailing bytes after arrays")

@@ -23,7 +23,7 @@ except ImportError:          # no resource module on Windows
 
 import numpy as np
 
-from .config import ConfigRecord
+from .config import ConfigRecord, within
 from .data import DatasetSource, load_data
 from .errors import DegenerateGroupError, DivergenceError, NonFiniteGradientError, ScheduleError
 from .model import Model, ModelSpec, build_model, full_state, save_checkpoint
@@ -135,18 +135,15 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class TrainConfig(ConfigRecord):
-    epochs: int = 10
-    batch_size: int = 128
-    peak_lr: float = 0.05
-    momentum: float = 0.9
-    warmup_epochs: float = 1.0
-    ema_decay: float = 0.99
-    label_smoothing: float = 0.1
+    epochs: int = within(10, "[1, inf)")
+    batch_size: int = within(128, "[1, inf)")
+    peak_lr: float = within(0.05, "[0, inf)")
+    momentum: float = within(0.9, "[0, 1)")
+    warmup_epochs: float = within(1.0, "[0, inf)")
+    ema_decay: float = within(0.99, "[0, 1)")
+    label_smoothing: float = within(0.1, "[0, 1)")
     augment: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        self.require_positive("batch_size")
+    seed: int = within(0, "[0, inf)")
 
 
 def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,

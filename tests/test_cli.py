@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, round trips, determinism."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from localattn import cli
 from localattn.cli import build_parser, run
 from localattn.data import DATA_CONFIG_KEYS, DatasetSource
+from localattn.errors import ConfigurationError
 from localattn.model import MODEL_CONFIG_KEYS, ModelSpec, read_config
 from localattn.train import TRAIN_CONFIG_KEYS, TrainConfig
 
@@ -34,6 +36,40 @@ def _cli(args, capsys):
 
 def _strip_timing(text: str) -> list[str]:
     return [line for line in text.splitlines() if not line.startswith("# time")]
+
+
+def _train_flags() -> dict[str, str]:
+    """Config key -> flag, for every flag of `train`."""
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return {a.dest: a.option_strings[0] for a in sub.choices["train"]._actions
+            if a.option_strings}
+
+
+def _out_of_contract_cases() -> list:
+    """(key, text) from each record's declared valid sets: a value just
+    outside each finite end of an interval, nan and inf for a float field,
+    and a string outside a choice set."""
+    cases = []
+    for record in (ModelSpec, TrainConfig, DatasetSource):
+        for f in record.config_fields():
+            is_float = f.parse.__name__.startswith("float")
+            if f.choices is not None:
+                cases.append((f.key, "bogus"))
+            if f.interval is None:
+                assert not is_float, f"float field {f.key} declares no interval"
+                continue
+            low, high, open_low, open_high, _ = f.interval
+            outside = []
+            if low > -math.inf:
+                outside.append(low if open_low else
+                               math.nextafter(low, -math.inf) if is_float else low - 1)
+            if high < math.inf:
+                outside.append(high if open_high else
+                               math.nextafter(high, math.inf) if is_float else high + 1)
+            cases += [(f.key, repr(v) if is_float else str(int(v))) for v in outside]
+            if is_float:
+                cases += [(f.key, "nan"), (f.key, "inf")]
+    return [pytest.param(key, text, id=f"{key}={text}") for key, text in cases]
 
 
 class TestExitCodes:
@@ -63,6 +99,8 @@ class TestExitCodes:
         ["count", "--bn-decay", "0"],
         ["count", "--width-multiplier", "inf"],
         ["count", "--width-multiplier", "nan"],
+        ["count", "--width-multiplier", "1e308"],
+        ["count", "--width-multiplier", "1e300"],
         ["train", "--batch-size", "0"] + TINY_MODEL + TINY_DATA,
         ["train", "--data-limit", "-5"] + TINY_MODEL + TINY_DATA,
         ["train", "--data-size", "0"] + TINY_MODEL + TINY_DATA[:-2],
@@ -70,11 +108,15 @@ class TestExitCodes:
         ["parity", "--heads", "0"],
         ["parity", "--conv-k", "-3"],
         ["parity", "--d", "0"],
+        ["parity", "--d", "6", "--heads", "4"],
+        ["parity", "--d", "6", "--heads", "6", "--mode", "relative"],
     ], ids=["depth-44", "heads-0", "even-k", "stem-mixtures-0", "stem-d-emb-0",
             "resolution-negative", "resolution-0", "num-classes-0", "bn-decay-2",
-            "bn-decay-0", "width-multiplier-inf", "width-multiplier-nan", "batch-size-0",
+            "bn-decay-0", "width-multiplier-inf", "width-multiplier-nan",
+            "width-multiplier-1e308", "width-multiplier-1e300", "batch-size-0",
             "data-limit-negative", "data-size-0",
-            "parity-mode", "parity-heads-0", "parity-conv-k-negative", "parity-d-0"])
+            "parity-mode", "parity-heads-0", "parity-conv-k-negative", "parity-d-0",
+            "parity-heads-not-dividing-d", "parity-odd-relative-d-head"])
     def test_invalid_configuration_fails_cleanly(self, argv, capsys):
         code, _, err = _cli(argv, capsys)
         assert code == 1
@@ -85,6 +127,30 @@ class TestExitCodes:
         code, _, err = _cli(["count", "--width-multiplier", value], capsys)
         assert code == 1
         assert err == f"error: width_multiplier must be positive and finite, got {value}\n"
+
+    @pytest.mark.parametrize("width, heads", [("1e308", 8), ("1e300", 8), ("1.0", 2 ** 20)])
+    def test_groups_wider_than_the_limit_name_the_keys(self, width, heads, capsys):
+        # relative modes round widths to multiples of 2 * heads, so heads = 2^20
+        # makes every group 2^21 channels wide whatever the multiplier
+        code, _, err = _cli(["count", "--width-multiplier", width, "--heads", str(heads)],
+                            capsys)
+        assert code == 1
+        assert err == ("error: width_multiplier and heads must keep groups at most 1048576 "
+                       f"channels wide, got width_multiplier={float(width)!r} and "
+                       f"heads={heads}\n")
+
+    def test_huge_heads_is_named(self, capsys):
+        code, _, err = _cli(["count", "--heads", "9" * 300], capsys)
+        assert code == 1
+        assert err.startswith("error: heads must lie in [1, 1048576], got 999")
+
+    @pytest.mark.parametrize("key, text", _out_of_contract_cases())
+    def test_value_outside_the_declared_contract_names_the_key(self, key, text,
+                                                              monkeypatch, capsys):
+        _stub_training(monkeypatch)
+        code, _, err = _cli(["train", f"{_train_flags()[key]}={text}"], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {key} must ") and err.count("\n") == 1, err
 
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -375,6 +441,34 @@ class TestConfigSchema:
         code, _, err = _cli(["train", "--config", str(cfg)], capsys)
         assert code == 1
         assert err == f"error: {message}\n"
+
+    def test_corrupted_config_files_are_rejected_or_in_range(self, tmp_path):
+        # 3,000 seeded substitutions of one byte by a printable one in a
+        # shipped config: each file is refused with ConfigurationError or
+        # yields records whose training values lie in range (the bounds are
+        # spelled out here, not read from the declared contract)
+        blob = open(os.path.join(ROOT, "configs", "desk_blocks.cfg"), "rb").read()
+        rng = np.random.default_rng(0)
+        path = tmp_path / "fuzzed.cfg"
+        accepted, out_of_range = 0, []
+        for _ in range(3000):
+            fuzzed = bytearray(blob)
+            fuzzed[rng.integers(len(blob))] = rng.integers(32, 127)
+            path.write_bytes(bytes(fuzzed))
+            try:
+                mapping = read_config(str(path))
+                ModelSpec.from_mapping(mapping)
+                DatasetSource.from_mapping(mapping)
+                c = TrainConfig.from_mapping(mapping)
+            except ConfigurationError:
+                continue
+            accepted += 1
+            if not (0 <= c.label_smoothing < 1 and 0 <= c.momentum < 1
+                    and 0 <= c.ema_decay < 1 and 0 <= c.peak_lr < math.inf
+                    and 0 <= c.warmup_epochs < math.inf and c.epochs >= 1):
+                out_of_range.append(mapping)
+        assert accepted > 1000
+        assert out_of_range == []
 
     @pytest.mark.parametrize("spelling, expected", [
         ("true", True), ("TRUE", True), ("1", True), ("Yes", True),

@@ -98,6 +98,12 @@ class TestConfigFormat:
         with pytest.raises(ConfigurationError):
             parse_config_text("k 5")
 
+    def test_non_utf8_file_rejected_with_its_path_and_offset(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"k = 5\nstem = \xff\n")
+        with pytest.raises(ConfigurationError, match=r"bad\.cfg is not UTF-8 at byte offset 13$"):
+            read_config(str(path))
+
 
 class TestBuildAndForward:
     def test_forward_produces_logit_rows(self):
@@ -230,6 +236,37 @@ class TestCheckpointFormat:
                          + struct.pack("<3I", 2 ** 31, 2 ** 31, 4) + b"\x00" * 16)
         with pytest.raises(CheckpointError, match=f"huge needs {2 ** 66} bytes"):
             load_checkpoint(str(path))
+
+    def test_corrupted_checkpoints_raise_only_checkpoint_errors(self, tmp_path):
+        # 3,000 seeded truncations, byte flips and insertions of a two-entry
+        # checkpoint; a corruption inside the array bytes may still load. A
+        # corrupted rank reads zero array bytes as dimensions, so a shape can
+        # hold no bytes yet have a size numpy refuses.
+        path = str(tmp_path / "two.ckpt")
+        save_checkpoint(path, {"w": np.zeros((4, 4), dtype=np.float32),
+                               "b": np.zeros(4, dtype=np.float64)})
+        blob = open(path, "rb").read()
+        rng = np.random.default_rng(0)
+        stray = []
+        for i in range(3000):
+            at = int(rng.integers(len(blob)))
+            kind = rng.integers(3)
+            if kind == 0:
+                fuzzed = blob[:at]
+            elif kind == 1:
+                fuzzed = bytearray(blob)
+                fuzzed[at] ^= int(rng.integers(1, 256))
+            else:
+                fuzzed = blob[:at] + rng.bytes(int(rng.integers(1, 9))) + blob[at:]
+            with open(path, "wb") as fh:
+                fh.write(fuzzed)
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+            except Exception as exc:            # anything else is a finding
+                stray.append((i, repr(exc)))
+        assert stray == []
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "trail.ckpt")

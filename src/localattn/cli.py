@@ -41,6 +41,7 @@ _PRECISIONS = {"f32": np.float32, "f64": np.float64}
 # A field's flag is `--` and its config key with dashes, except these; `seed`
 # has no flag of its own because the common `--seed` sets it.
 _FLAG_NAMES = {"input_resolution": "--resolution", "seed": None}
+(_SEED,) = [f for f in TrainConfig.config_fields() if f.key == "seed"]
 
 
 def _add_flags(parser: argparse.ArgumentParser, *records) -> None:
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="plain-text `key = value` configuration file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_SEED.parse, default=argparse.SUPPRESS)
     common.add_argument("--precision", choices=sorted(_PRECISIONS), default=None)
     common.add_argument("--out", default=None,
                         help="where to write outputs (directory for train, "
@@ -227,6 +228,7 @@ _COMMANDS = {
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _SEED.check(getattr(args, "seed", None))
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

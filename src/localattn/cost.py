@@ -23,6 +23,7 @@ from .errors import ConfigurationError
 from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool, Linear,
                      LocalAttention, MaxPool, ReLU, attention_head_width)
 from .model import Bottleneck, ModelSpec, plan
+from .tensorops import check_odd_extent
 
 CONVENTION = "macx2-v1"
 
@@ -217,9 +218,9 @@ def conv_flops_per_pixel(d_in: int, d_out: int, k: int) -> int:
 def cost_parity(d: int, conv_k: int, heads: int = 8, mode: str = "relative",
                 sweep=range(3, 27, 2)) -> ParityReport:
     """Find the attention extent whose per-pixel cost best matches a conv."""
-    for name, value in (("d", d), ("conv_k", conv_k)):
-        if value < 1:
-            raise ConfigurationError(f"{name} must be at least 1, got {value}")
+    if d < 1:
+        raise ConfigurationError(f"d must be at least 1, got {d}")
+    check_odd_extent(conv_k, "convolution")
     conv = conv_flops_per_pixel(d, d, conv_k)
     attn = {k: attention_unit_costs(d, d, k, heads, mode)[2] for k in sweep}
     best = min(attn, key=lambda k: abs(attn[k] - conv))

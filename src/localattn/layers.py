@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, PaddingError, UnsupportedExtentError
-from .tensorops import (block_attention, block_attention_vjp, pad_hw, softmax_axis, softmax_vjp,
-                        window_slices, window_validity)
+from .errors import ConfigurationError, DimensionError, PaddingError
+from .tensorops import (block_attention, block_attention_vjp, check_odd_extent, pad_hw,
+                        softmax_axis, softmax_vjp, window_slices, window_validity)
 
 MODES = ("none", "absolute", "relative", "relative_only")
 
@@ -95,8 +95,7 @@ class Conv2d:
 
     def __init__(self, d_in: int, d_out: int, k: int, stride: int = 1,
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        if k < 1 or k % 2 == 0:
-            raise UnsupportedExtentError(f"convolution extent must be odd, got {k}")
+        check_odd_extent(k, "convolution")
         if stride < 1:
             raise ConfigurationError(f"stride must be positive, got {stride}")
         rng = rng or np.random.default_rng(0)
@@ -260,28 +259,25 @@ class LocalAttention:
     inside the image, so no key is padding. Q is copied into query blocks
     (n, heads, BH, BW, d_head, S), a view for a whole image, and K and V
     each into one item-contiguous array of key windows (..., d_head, T). The
-    bias added to the logits K^T Q is, per axis, q_row . row_emb[offset]
-    (relative modes) plus a mask that is 0 within k//2 of the query and
-    -inf beyond; the row and column terms, (span, L, S) each for the L =
-    n*heads*BH*BW items, are kept apart and added together into each tile
-    of block_attention, so no logits-sized bias exists. Each term is one
-    einsum of the axis's offset table, (BH, bh, span, d_head/2) for rows,
-    with q's half in block layout, and so are its two gradients. ctx keeps
-    the input and block_attention's softmax statistics, not the weights;
-    backward projects Q, K and V and builds the two terms again, lets the
-    VJP rebuild the weights tile by tile and write dK and dV over the K and
-    V windows, takes the embedding gradients from each tile's per-axis sums
-    of the logit cotangent and frees each full-size temporary after its
-    last use. window_weights runs block_attention on the saved input again
-    with one-hot values, whose output is the weights, and reads them per
-    pixel and slot.
+    logits are K^T Q plus block_attention's row and column terms, (span, L,
+    S) each for the L = n*heads*BH*BW items: per axis, q_row .
+    row_emb[offset] (relative modes) plus a mask that is 0 within k//2 of
+    the query and -inf beyond. Each term is one einsum of the axis's offset
+    table, (BH, bh, span, d_head/2) for rows, with q's half in block layout,
+    and so are its two gradients. ctx keeps the input and block_attention's
+    softmax statistics, not the weights; backward projects Q, K and V and
+    builds the two terms again, lets the VJP rebuild the weights tile by
+    tile, write dK and dV over the K and V windows and the terms' cotangents
+    into two term-sized arrays, takes the embedding gradients from those and
+    frees each full-size temporary after its last use. window_weights runs
+    block_attention on the saved input again with one-hot values, whose
+    output is the weights, and reads them per pixel and slot.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, heads: int,
                  encoding_mode: str = "relative",
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        if k < 1 or k % 2 == 0:
-            raise UnsupportedExtentError(f"attention extent must be odd, got {k}")
+        check_odd_extent(k, "attention")
         d_head = attention_head_width(d_in, d_out, heads, encoding_mode)
         rng = rng or np.random.default_rng(0)
         self.d_in, self.d_out, self.k, self.heads = d_in, d_out, k, heads
@@ -325,34 +321,23 @@ class LocalAttention:
         value = _key_windows(t[:, -1], rows, cols)[..., None, :, :]
         return rows, cols, _to_blocks(t[:, 0], rows.b, cols.b), key, value
 
-    def _bias(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks):
-        """The logit bias as block_attention takes it: items lo:hi of the row
-        term plus the column term, built in the core's spare tile `out`, (T,
-        hi - lo, S). Only the two terms, each 1/span of the logits, are held
-        in full."""
-        row, col = (self._offset_term(q, rows, cols, axis) for axis in (0, 1))
-
-        def bias(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-            np.add(row[:, None, lo:hi], col[None, :, lo:hi],
-                   out=out.reshape(rows.span, cols.span, hi - lo, -1))
-            return out
-        return bias
-
-    def _offset_term(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks, axis: int):
-        """The row (axis 0) or column term of the bias, (span, L, S) for the
-        L = n*heads*BH*BW items of q: q_row . row_emb[offset] plus the 0/-inf
-        window mask, or the mask alone when there are no offset embeddings."""
-        plan = (rows, cols)[axis]
-        mask = plan.mask.reshape((plan.span, 1, 1) + ((plan.blocks, 1, plan.b, 1) if axis == 0
-                                                      else (1, plan.blocks, 1, plan.b)))
-        mask = mask.astype(q.dtype)
-        if self.row_emb is None:
-            term = np.broadcast_to(mask, (plan.span,) + q.shape[:-2] + (rows.b, cols.b))
-        else:
-            term = np.einsum(f"{_TABLE[axis]},{_Q}->{_TERM}", self._offset_table(axis, plan),
-                             self._q_part(q, rows, cols, axis), optimize=True)
-            term += mask
-        return term.reshape(plan.span, -1, rows.b * cols.b)
+    def _terms(self, q: np.ndarray, rows: _AxisBlocks, cols: _AxisBlocks):
+        """The row and the column term of the logits as block_attention takes
+        them, (span, L, S) each for the L = n*heads*BH*BW items of q: per
+        axis, q's half . emb[offset] plus the 0/-inf window mask, or the mask
+        alone when there are no offset embeddings."""
+        terms = []
+        for axis, plan in enumerate((rows, cols)):
+            mask = plan.mask.astype(q.dtype).reshape((plan.span, 1, 1) + (
+                (plan.blocks, 1, plan.b, 1) if axis == 0 else (1, plan.blocks, 1, plan.b)))
+            if self.row_emb is None:
+                term = np.broadcast_to(mask, (plan.span,) + q.shape[:-2] + (rows.b, cols.b))
+            else:
+                term = np.einsum(f"{_TABLE[axis]},{_Q}->{_TERM}", self._offset_table(axis, plan),
+                                 self._q_part(q, rows, cols, axis), optimize=True)
+                term += mask
+            terms.append(term.reshape(plan.span, -1, rows.b * cols.b))
+        return terms
 
     def _offset_table(self, axis: int, plan: _AxisBlocks) -> np.ndarray:
         """(B, b, span, d_head/2): the row (axis 0) or column embedding that
@@ -373,7 +358,7 @@ class LocalAttention:
             x_in = x + absolute_position_signal(self.d_in, height, width)[None].astype(x.dtype)
 
         rows, cols, q, key, v = self._blocks(x_in)
-        y, stats = block_attention(q, key, v, self._bias(q, rows, cols))
+        y, stats = block_attention(q, key, v, self._terms(q, rows, cols))
         out = np.empty((n, self.heads, self.d_head, height, width), dtype=y.dtype)
         _from_blocks(y[..., 0, :, :], rows.b, cols.b, out)
         return out.reshape(n, self.d_out, height, width), (x_in, stats)
@@ -389,7 +374,7 @@ class LocalAttention:
         rows, cols, q, key, v = self._blocks(x_in)
         slots = v.shape[-1]
         one_hot = np.broadcast_to(np.eye(slots, dtype=v.dtype), v.shape[:-2] + (slots, slots))
-        attn, _ = block_attention(q, key, one_hot, self._bias(q, rows, cols))
+        attn, _ = block_attention(q, key, one_hot, self._terms(q, rows, cols))
         index = []
         for side, plan in ((height, rows), (width, cols)):
             pixel = np.arange(side)
@@ -411,23 +396,12 @@ class LocalAttention:
         rows, cols, q, key, v = self._blocks(x_in)
         dyb = _to_blocks(dy.reshape(n, self.heads, self.d_head, height, width), rows.b, cols.b)
         dyb = dyb[..., None, :, :]
-        sums = on_tile = None
-        if self.row_emb is not None:
-            # the cotangents of the row and the column term, (span, n, heads,
-            # BH, BW, bh, bw): each tile's logit cotangent summed over its
-            # windows' column slots and over their row slots
-            sums = [np.empty((plan.span,) + q.shape[:-2] + (rows.b, cols.b), dtype=q.dtype)
-                    for plan in (rows, cols)]
-
-            def on_tile(lo, hi, g):
-                grid = g.reshape(rows.span, cols.span, hi - lo, -1)
-                for axis, total in enumerate(sums):
-                    items = total.reshape(total.shape[0], -1, grid.shape[-1])
-                    grid.sum(axis=1 - axis, out=items[:, lo:hi])
-        dq, dk, dv = block_attention_vjp(q, key, v, stats, dyb, self._bias(q, rows, cols), on_tile)
-        del key, v, dyb
-        grads = {} if sums is None else self._offset_grads(q, dq, sums, rows, cols)
-        del q, sums
+        terms = self._terms(q, rows, cols)
+        d_terms = None if self.row_emb is None else [np.empty(t.shape, q.dtype) for t in terms]
+        dq, dk, dv = block_attention_vjp(q, key, v, stats, dyb, terms, d_terms)
+        del key, v, dyb, terms
+        grads = {} if d_terms is None else self._offset_grads(q, dq, d_terms, rows, cols)
+        del q, d_terms
 
         transforms = self._transforms()
         d_t = np.empty((n, len(transforms), self.heads, self.d_head, height, width),
@@ -446,16 +420,17 @@ class LocalAttention:
         # the absolute-mode position signal is a constant, so dx = dx_in
         return dx.reshape(x_in.shape), grads
 
-    def _offset_grads(self, q, dq, sums, rows: _AxisBlocks, cols: _AxisBlocks):
-        """The row_emb and col_emb gradients from the cotangents `sums` of the
-        row and the column term; adds the terms' share of q's cotangent into
+    def _offset_grads(self, q, dq, d_terms, rows: _AxisBlocks, cols: _AxisBlocks):
+        """The row_emb and col_emb gradients from the cotangents of the row
+        and the column term; adds the terms' share of q's cotangent into
         dq."""
         grads = {}
         for axis, (plan, name) in enumerate(((rows, "row_emb"), (cols, "col_emb"))):
             table = self._offset_table(axis, plan)
+            d_term = d_terms[axis].reshape((plan.span,) + q.shape[:-2] + (rows.b, cols.b))
             d_part = self._q_part(dq, rows, cols, axis)
-            d_part += np.einsum(f"{_TABLE[axis]},{_TERM}->{_Q}", table, sums[axis], optimize=True)
-            d_table = np.einsum(f"{_TERM},{_Q}->{_TABLE[axis]}", sums[axis],
+            d_part += np.einsum(f"{_TABLE[axis]},{_TERM}->{_Q}", table, d_term, optimize=True)
+            d_table = np.einsum(f"{_TERM},{_Q}->{_TABLE[axis]}", d_term,
                                 self._q_part(q, rows, cols, axis), optimize=True)
             # masked slots have a zero logit cotangent, so the rows they were
             # clipped to receive nothing from them
@@ -593,7 +568,7 @@ class AttentionStem:
     taken through the identity K_h^T Q_h = xb^T A_h xb, A_h = W_K,h^T W_Q,h
     (d_in x d_in), for the block input xb: q'_h = A_h xb, and xb is one key
     set for every head, as in multi-query attention (Shazeer, arXiv
-    1911.02150). The attention is tensorops.block_attention with no bias and
+    1911.02150). The attention is tensorops.block_attention with no terms and
     one value group per head: the input is copied to (n, hb, wb, d_in, 16),
     slot a*4 + b holding block position (a, b), and each 4x4 block is one
     item of T = 16 keys and S = heads*16 queries, head h's being h*16 to

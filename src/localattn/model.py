@@ -33,6 +33,7 @@ BASE_WIDTHS = (64, 128, 256, 512)
 DEPTH_BLOCKS = {50: (3, 4, 6, 3), 38: (2, 3, 5, 2), 26: (1, 2, 4, 1)}
 GROUP_TAGS = ("conv", "attention")
 STEMS = ("conv_stem", "attention_stem")
+STEM_HEADS = 4             # the attention stem's heads, whatever the blocks' `heads`
 EXPANSION = 4
 MAX_WIDTH = 2 ** 20        # channels; far wider than any model this code can run
 
@@ -82,6 +83,9 @@ class ModelSpec(ConfigRecord):
             raise ConfigurationError(
                 f"width_multiplier and heads must keep groups at most {MAX_WIDTH} channels "
                 f"wide, got width_multiplier={self.width_multiplier!r} and heads={self.heads}")
+        if self.stem == "attention_stem" and self.widths[0] % STEM_HEADS:
+            raise ConfigurationError(f"attention_stem has {STEM_HEADS} heads, which must divide "
+                                     f"the first width, got {self.widths[0]}")
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -295,7 +299,7 @@ def plan(spec: ModelSpec, rng: np.random.Generator | None = None, dtype=np.float
     else:
         layers = [("stem.attn", AttentionStem, dict(
             d_in=3, d_out=widths[0], mixtures=spec.stem_mixtures, d_emb=spec.stem_d_emb,
-            heads=4, bn_decay=spec.bn_decay, rng=rng, dtype=dtype))]
+            heads=STEM_HEADS, bn_decay=spec.bn_decay, rng=rng, dtype=dtype))]
 
     d_in = widths[0]
     for g, (count, mid, tag) in enumerate(zip(spec.block_counts, widths, spec.groups)):

@@ -10,7 +10,8 @@ heads, batch in front): a tile is as many consecutive items as keep its
 logits within TILE_BYTES, so a tile's logits, softmax and GEMMs stay in L2
 and no logits-sized array is allocated. Each tile's logits are written key
 slot first, so the softmax reduces over axis 0, into one tile-sized scratch
-that every tile reuses. The tile is never divided by the softmax sum: the
+that every tile reuses; a bias comes as a row and a column term, summed per
+tile in a second scratch. The tile is never divided by the softmax sum: the
 output V @ exp, d_v rows per query, is divided instead (FlashAttention's
 deferred normalization, arXiv 2205.14135). The weights are not kept:
 block_attention returns each query's logit max and sum of exponentials, and
@@ -94,18 +95,21 @@ def _tiles(items: int, slots: int, queries: int, dtype):
         yield lo, hi, a, b
 
 
-def _logits(qf, kf, bias, lo, hi, out, spare):
-    """The logits K^T Q + bias of items lo:hi into out, (T, hi - lo, S);
-    spare, of the same shape, is scratch the bias may be built in."""
+def _logits(qf, kf, terms, lo, hi, out, spare):
+    """The logits K^T Q + row (+) col of items lo:hi into out, (T, hi - lo,
+    S); spare, of the same shape, is scratch the terms are summed in."""
     if kf is None:
         out[...] = 0.0
     else:
         np.matmul(np.swapaxes(kf[lo:hi], -2, -1), qf[lo:hi], out=np.moveaxis(out, 0, -2))
-    if bias is not None:
-        out += bias(lo, hi, spare)
+    if terms is not None:
+        row, col = terms
+        np.add(row[:, None, lo:hi], col[None, :, lo:hi],
+               out=spare.reshape(len(row), len(col), hi - lo, -1))
+        out += spare
 
 
-def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=None):
+def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, terms=None):
     """Attention of each block's S queries over its T keys, tile by tile.
 
     q is (..., d, S), k is (..., d, T) and v is (..., G, d_v, T): G value
@@ -113,18 +117,19 @@ def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=Non
     the logit GEMMs run once per item and the value GEMMs once per group.
     The leading axes index items (blocks and heads, batch in front); they are
     flattened into L items (a copy unless the array is item-contiguous). The
-    logits are K^T Q plus the bias; a k of None leaves the bias alone, and a
-    -inf bias masks a slot out. `bias(lo, hi, out)` returns the bias of items
-    lo:hi, broadcastable to (T, hi - lo, S); out is a free (T, hi - lo, S)
-    scratch it may build the bias in. Per tile the logits are written key
-    slot first into one tile-sized scratch, the bias is added, exp(logit -
-    max) is taken over axis 0 in place, each group's V @ exp is written
-    into the tile's rows of y, and y is divided by each query's sum of
-    exponentials: the tile itself is never divided. Returns y, (..., G, d_v,
-    S/G), and the softmax statistics, a (2, L, S) array of each query's
-    logit max and sum of exponentials, from which the VJP rebuilds the
-    weights. With one-hot values, v = eye(T) broadcast over the items, y is
-    the (..., 1, T, S) weights themselves, exactly.
+    logits are K^T Q plus, if given, terms = (row, col), (T_h, L, S) and
+    (T_w, L, S) with T = T_h*T_w: key slot t_h*T_w + t_w adds row[t_h] +
+    col[t_w]. A k of None leaves the terms alone, and a -inf in a term masks
+    its slots out, so no logits-sized bias exists. Per tile the
+    logits are written key slot first into one tile-sized scratch, the
+    tile's row (+) col is built in a second one and added, exp(logit - max)
+    is taken over axis 0 in place, each group's V @ exp is written into the
+    tile's rows of y, and y is divided by each query's sum of exponentials:
+    the tile itself is never divided. Returns y, (..., G, d_v, S/G), and the
+    softmax statistics, a (2, L, S) array of each query's logit max and sum
+    of exponentials, from which the VJP rebuilds the weights. With one-hot
+    values, v = eye(T) broadcast over the items, y is the (..., 1, T, S)
+    weights themselves, exactly.
     """
     qf, vf = _items(q), _items(v, 3)
     kf = None if k is None else _items(k)
@@ -134,33 +139,34 @@ def block_attention(q: np.ndarray, k: np.ndarray | None, v: np.ndarray, bias=Non
     stats = np.empty((2, items, queries), dtype=q.dtype)
     y = np.empty(vf.shape[:-1] + (queries // groups,), dtype=np.result_type(vf, q))
     for lo, hi, tile, spare in _tiles(items, slots, queries, q.dtype):
-        _logits(qf, kf, bias, lo, hi, tile, spare)
+        _logits(qf, kf, terms, lo, hi, tile, spare)
         _exp_stats(tile, 0, tile, stats[:, None, lo:hi])
         np.matmul(vf[lo:hi], _grouped(tile, groups), out=y[lo:hi])
         y[lo:hi] /= _grouped(stats[1, None, lo:hi], groups)
     return y.reshape(v.shape[:-1] + (queries // groups,)), stats
 
 
-def block_attention_vjp(q, k, v, stats, dy, bias=None, on_tile=None):
+def block_attention_vjp(q, k, v, stats, dy, terms=None, d_terms=None):
     """Cotangents (dq, dk, dv) of block_attention given its statistics and
-    bias and the cotangent dy, (..., G, d_v, S/G); dk is None when k is, and
+    terms and the cotangent dy, (..., G, d_v, S/G); dk is None when k is, and
     dq is then zero. k and v are consumed: dk and dv are written over their
     item arrays, each tile's after that tile's last read. Per tile, exp(logit
-    - max) is rebuilt bit for bit into one tile-sized scratch, with the bias
-    built in a second one, which then takes the logit cotangent g. The tile
-    is not divided: with dys = dy / sum and attn = exp / sum, dv = dys @
-    exp^T and g = exp * (V^T dys - inner / sum), the softmax VJP's inner sum
-    over key slots, sum_t attn * (V^T dy), being sum_t exp * (V^T dys), one
-    reduction over the tile. Masked slots have exp == 0 and get a zero g.
-    `on_tile(lo, hi, g)`, if given, sees each tile's g, (T, hi - lo, S),
-    before the next tile overwrites it."""
+    - max) is rebuilt bit for bit into one tile-sized scratch, with the
+    terms summed in a second one, which then takes the logit cotangent g.
+    The tile is not divided: with dys = dy / sum and attn = exp / sum, dv =
+    dys @ exp^T and g = exp * (V^T dys - inner / sum), the softmax VJP's
+    inner sum over key slots, sum_t attn * (V^T dy), being sum_t exp * (V^T
+    dys), one reduction over the tile. Masked slots have exp == 0 and get a
+    zero g. d_terms, if given, is a pair of arrays shaped like the terms
+    that receive the terms' cotangents, g summed over the column slots and
+    over the row slots, like numpy's `out=`."""
     qf, vf, dyf = _items(q), _items(v, 3), _items(dy, 3)
     kf = None if k is None else _items(k)
     groups = vf.shape[1]
     dq = (np.zeros(qf.shape, dtype=qf.dtype) if kf is None
           else np.empty(qf.shape, dtype=np.result_type(kf, q)))
     for lo, hi, e, g in _tiles(qf.shape[0], vf.shape[-1], qf.shape[-1], qf.dtype):
-        _logits(qf, kf, bias, lo, hi, e, g)
+        _logits(qf, kf, terms, lo, hi, e, g)
         e -= stats[0, None, lo:hi]
         np.exp(e, out=e)
         dys = dyf[lo:hi] / _grouped(stats[1, None, lo:hi], groups)
@@ -170,8 +176,10 @@ def block_attention_vjp(q, k, v, stats, dy, bias=None, on_tile=None):
         inner /= stats[1, lo:hi]
         g -= inner
         g *= e
-        if on_tile is not None:
-            on_tile(lo, hi, g)
+        if d_terms is not None:
+            grid = g.reshape(len(d_terms[0]), len(d_terms[1]), hi - lo, -1)
+            for axis, d_term in enumerate(d_terms):
+                grid.sum(axis=1 - axis, out=d_term[:, lo:hi])
         if kf is not None:
             g_ts = np.moveaxis(g, 0, -2)
             np.matmul(kf[lo:hi], g_ts, out=dq[lo:hi])
@@ -191,12 +199,17 @@ def window_slices(k: int, h_out: int, w_out: int, stride: int = 1):
                          slice(v, v + stride * w_out, stride))
 
 
+def check_odd_extent(k: int, kind: str) -> None:
+    """UnsupportedExtentError unless k is positive and odd, so windows center."""
+    if k < 1 or k % 2 == 0:
+        raise UnsupportedExtentError(f"{kind} extent must be odd, got {k}")
+
+
 def window_validity(height: int, width: int, k: int) -> np.ndarray:
     """Boolean (H, W, k*k) array: which slots of the k x k window centered on
     each pixel lie inside the image. Slot u*k + v holds the pixel at offset
-    (u - k//2, v - k//2); only odd k has a centered window."""
-    if k < 1 or k % 2 == 0:
-        raise UnsupportedExtentError(f"neighborhood extent must be odd and positive, got {k}")
+    (u - k//2, v - k//2)."""
+    check_odd_extent(k, "neighborhood")
     inside = pad_hw(np.ones((height, width), dtype=bool), k // 2)
     return np.stack([inside[at] for _, _, at in window_slices(k, height, width)], axis=-1)
 

@@ -110,17 +110,30 @@ class TestExitCodes:
         ["parity", "--d", "0"],
         ["parity", "--d", "6", "--heads", "4"],
         ["parity", "--d", "6", "--heads", "6", "--mode", "relative"],
+        ["parity", "--conv-k", "4"],
+        ["count", "--stem", "attention_stem", "--heads", "3", "--width-multiplier", "0.125"],
+        ["gradcheck", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
+        ["eval", "--seed", "-1", "--checkpoint", "missing.ckpt"] + TINY_MODEL + TINY_DATA,
     ], ids=["depth-44", "heads-0", "even-k", "stem-mixtures-0", "stem-d-emb-0",
             "resolution-negative", "resolution-0", "num-classes-0", "bn-decay-2",
             "bn-decay-0", "width-multiplier-inf", "width-multiplier-nan",
             "width-multiplier-1e308", "width-multiplier-1e300", "batch-size-0",
             "data-limit-negative", "data-size-0",
             "parity-mode", "parity-heads-0", "parity-conv-k-negative", "parity-d-0",
-            "parity-heads-not-dividing-d", "parity-odd-relative-d-head"])
+            "parity-heads-not-dividing-d", "parity-odd-relative-d-head", "parity-conv-k-even",
+            "stem-width-not-dividing-its-heads", "gradcheck-seed-negative",
+            "verify-seed-negative", "eval-seed-negative"])
     def test_invalid_configuration_fails_cleanly(self, argv, capsys):
         code, _, err = _cli(argv, capsys)
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["gradcheck", "verify", "count"])
+    def test_negative_seed_is_named(self, command, capsys):
+        code, _, err = _cli([command, "--seed", "-1"], capsys)
+        assert code == 1
+        assert err == "error: seed must lie in [0, inf), got -1\n"
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_width_multiplier_is_named(self, value, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from localattn import reference as ref
+from localattn import tensorops
 from localattn.autodiff import gradcheck
 from localattn.errors import (
     ConfigurationError,
@@ -330,6 +331,27 @@ class TestLocalAttention:
         x = np.random.default_rng(42).standard_normal((n, 4, h, w))
         _, ctx = layer.forward(x, training=True)
         assert _largest_per_item(ctx, n * heads * 4 * 4) < 8 * 8 * 16
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_outputs_do_not_depend_on_the_tile_size(self, mode, monkeypatch):
+        # one item per tile, then every item in one tile: a term or its
+        # cotangent sliced at the wrong items would move some bytes
+        n, h, w, k, heads = SHAPES["16x16-k5-tiles"]
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((n, 4, h, w))
+        dy = rng.standard_normal((n, 4 * heads, h, w))
+        runs = []
+        for tile_bytes in (1, 2 ** 40):
+            monkeypatch.setattr(tensorops, "TILE_BYTES", tile_bytes)
+            layer = _attn(mode, k=k, heads=heads, d_in=4, d_out=4 * heads, seed=44)
+            y, ctx = layer.forward(x, training=True)
+            weights = layer.window_weights(ctx)
+            dx, grads = layer.backward(dy, ctx)
+            runs.append({"y": y, "window_weights": weights, "dx": dx, **grads})
+        one, all_ = runs
+        assert one.keys() == all_.keys()
+        for name in one:
+            assert one[name].tobytes() == all_[name].tobytes(), name
 
     def test_passes_allocate_no_logits_sized_temporary(self):
         # the logits and weights (10 MiB here) exist one tile at a time; the K

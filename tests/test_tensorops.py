@@ -143,69 +143,81 @@ def _items_per_tile(slots, queries):
     return max(1, TILE_BYTES // (slots * queries * 8))
 
 
-# (items, d, T, S), f64: three full tiles and a partial fourth, fewer items
-# than one tile, and items larger than a tile (one item per tile); and for
-# value groups, two full tiles and a partial third with S = 16 queries
+# (items, d, T_h, T_w, S), f64: three full tiles and a partial fourth, fewer
+# items than one tile, and items larger than a tile (one item per tile); and
+# for value groups, two full tiles and a partial third with S = 16 queries
 TILE_CASES = {
-    "partial-last-tile": lambda: (3 * _items_per_tile(12, 10) + 7, 3, 12, 10),
-    "under-one-tile": lambda: (5, 4, 9, 6),
-    "item-over-a-tile": lambda: (3, 2, 200, 180),
+    "partial-last-tile": lambda: (3 * _items_per_tile(12, 10) + 7, 3, 3, 4, 10),
+    "under-one-tile": lambda: (5, 4, 3, 3, 6),
+    "item-over-a-tile": lambda: (3, 2, 10, 20, 180),
 }
 
 
 def _grouped_case():
-    return 2 * _items_per_tile(12, 16) + 5, 3, 12, 16
+    return 2 * _items_per_tile(12, 16) + 5, 3, 3, 4, 16
 
 
 def _tile_case(dims, masked, keyless, groups=1, seed=40):
-    items, d, slots, queries = dims
+    """q, k, v, the (row, col) terms and dy of a case; masked, about half of
+    each term's slots are -inf, but one row and one column slot per query
+    are kept."""
+    items, d, span_h, span_w, queries = dims
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((items, d, queries))
-    k = None if keyless else rng.standard_normal((items, d, slots))
-    v = rng.standard_normal((items, groups, d + 1, slots))
-    bias = rng.standard_normal((slots, items, queries))
+    k = None if keyless else rng.standard_normal((items, d, span_h * span_w))
+    v = rng.standard_normal((items, groups, d + 1, span_h * span_w))
+    terms = [rng.standard_normal((span, items, queries)) for span in (span_h, span_w)]
     if masked:
-        keep = rng.random(bias.shape) < 0.5
-        keep[rng.integers(slots, size=(items, queries)),
-             np.arange(items)[:, None], np.arange(queries)] = True
-        bias[~keep] = -np.inf
+        for term in terms:
+            keep = rng.random(term.shape) < 0.5
+            keep[rng.integers(len(term), size=(items, queries)),
+                 np.arange(items)[:, None], np.arange(queries)] = True
+            term[~keep] = -np.inf
     dy = rng.standard_normal((items, groups, d + 1, queries // groups))
-    return q, k, v, bias, dy
+    return q, k, v, terms, dy
 
 
-def _check_against_dense(q, k, v, bias, dy):
-    """block_attention and its VJP on (q, k, v, bias, dy) of _tile_case
-    against _dense_attention at 1e-12: y, the weights, dq, dk, dv and every
-    tile's logit cotangent, in order."""
-    slots, items, queries = bias.shape
-    # leading axes (2, items/2) where they split, to flatten two of them
+def _dense_bias(terms):
+    """The (T, L, S) logit bias of separable terms: row (+) col, row-major
+    over the T_h x T_w key grid."""
+    row, col = terms
+    return (row[:, None] + col[None]).reshape((-1,) + row.shape[1:])
+
+
+def _shaped(t, items):
+    """t with its item axis split into (2, items/2) where it splits, so the
+    core flattens two leading axes; a copy, which the VJP may consume."""
     lead = (2, items // 2) if items % 2 == 0 else (items,)
-    def shaped(t):
-        return None if t is None else t.reshape(lead + t.shape[1:]).copy()
-    def tile_bias(lo, hi, out):
-        return bias[:, lo:hi]
-    want_attn, want_y, want_dq, want_dk, want_dv, want_g = _dense_attention(q, k, v, bias, dy)
+    return None if t is None else t.reshape(lead + t.shape[1:]).copy()
 
-    y, stats = block_attention(shaped(q), shaped(k), shaped(v), tile_bias)
+
+def _check_against_dense(q, k, v, terms, dy):
+    """block_attention and its VJP on (q, k, v, terms, dy) of _tile_case
+    against _dense_attention at 1e-12: y, the weights, dq, dk, dv and the
+    terms' cotangents, the logit cotangent summed over column and over row
+    slots."""
+    bias = _dense_bias(terms)
+    slots, items, queries = bias.shape
+    want_attn, want_y, want_dq, want_dk, want_dv, want_g = _dense_attention(q, k, v, bias, dy)
+    lead = _shaped(q, items).shape[:-2]
+
+    y, stats = block_attention(_shaped(q, items), _shaped(k, items), _shaped(v, items), terms)
     assert y.shape == lead + dy.shape[1:]
     assert stats.shape == (2, items, queries)
     np.testing.assert_allclose(y.reshape(want_y.shape), want_y, rtol=0, atol=1e-12)
     # with one-hot values, eye(T) as one group, y is the weights themselves
     one_hot = np.broadcast_to(np.eye(slots), lead + (1, slots, slots))
-    attn, _ = block_attention(shaped(q), shaped(k), one_hot, tile_bias)
+    attn, _ = block_attention(_shaped(q, items), _shaped(k, items), one_hot, terms)
     np.testing.assert_allclose(np.moveaxis(attn.reshape(items, slots, queries), 1, 0),
                                want_attn, rtol=0, atol=1e-12)
 
-    seen = []
-    key, value = shaped(k), shaped(v)
-    dq, dk, dv = block_attention_vjp(
-        shaped(q), key, value, stats, shaped(dy), tile_bias,
-        lambda lo, hi, g: seen.append((lo, hi, g.copy())))
-    c = _items_per_tile(slots, queries)
-    assert [(lo, hi) for lo, hi, _ in seen] == [
-        (lo, min(lo + c, items)) for lo in range(0, items, c)]
-    got_g = np.concatenate([g for _, _, g in seen], axis=1)
-    np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+    key, value = _shaped(k, items), _shaped(v, items)
+    d_terms = [np.full(t.shape, np.nan) for t in terms]
+    dq, dk, dv = block_attention_vjp(_shaped(q, items), key, value, stats, _shaped(dy, items),
+                                     terms, d_terms)
+    grid = want_g.reshape((len(terms[0]), len(terms[1])) + want_g.shape[1:])
+    np.testing.assert_allclose(d_terms[0], grid.sum(axis=1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_terms[1], grid.sum(axis=0), rtol=0, atol=1e-12)
     np.testing.assert_allclose(dv.reshape(want_dv.shape), want_dv, rtol=0, atol=1e-12)
     # dk and dv are written over k and v
     assert np.shares_memory(dv, value)
@@ -218,7 +230,6 @@ def _check_against_dense(q, k, v, bias, dy):
         assert np.shares_memory(dk, key)
         np.testing.assert_allclose(dq.reshape(want_dq.shape), want_dq, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dk.reshape(want_dk.shape), want_dk, rtol=0, atol=1e-12)
-    return seen
 
 
 class TestBlockAttentionTiles:
@@ -232,20 +243,36 @@ class TestBlockAttentionTiles:
     @pytest.mark.parametrize("groups", [2, 4])
     def test_value_groups_match_dense_per_item_reference(self, groups, masked):
         # G value groups over one key set, as the attention stem's heads
-        seen = _check_against_dense(*_tile_case(_grouped_case(), masked, False, groups))
-        assert len(seen) == 3 and seen[-1][1] - seen[-1][0] < seen[0][1] - seen[0][0]
+        _check_against_dense(*_tile_case(_grouped_case(), masked, False, groups))
+
+    def test_term_cotangents_with_value_groups_and_no_keys(self):
+        # a partial last tile, G = 4, masked terms and k = None at once
+        items, _, span_h, span_w, queries = _grouped_case()
+        assert items % _items_per_tile(span_h * span_w, queries)
+        _check_against_dense(*_tile_case(_grouped_case(), True, True, groups=4))
+
+    @pytest.mark.parametrize("keyless", [False, True], ids=["qk", "k-none"])
+    def test_term_cotangents_leave_the_other_cotangents_alone(self, keyless):
+        q, k, v, terms, dy = _tile_case(TILE_CASES["partial-last-tile"](), True, keyless)
+        _, stats = block_attention(q, k, v, terms)
+        with_sums, without = [
+            block_attention_vjp(q, None if k is None else k.copy(), v.copy(), stats, dy, terms,
+                                d_terms)
+            for d_terms in ([np.empty(t.shape) for t in terms], None)]
+        for got, want in zip(with_sums, without):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
     def test_queries_must_split_into_the_value_groups(self):
-        q, k, v, bias, dy = _tile_case((2, 3, 4, 6), False, False, groups=4)
+        q, k, v, terms, dy = _tile_case((2, 3, 2, 2, 6), False, False, groups=4)
         with pytest.raises(DimensionError, match="6 queries"):
             block_attention(q, k, v)
 
     def test_degenerate_group_in_the_last_tile_raises(self):
-        q, k, v, bias, dy = _tile_case(TILE_CASES["partial-last-tile"](), masked=True,
-                                       keyless=False)
-        bias[:, -1, 3] = -np.inf                     # one group of the last item
+        q, k, v, terms, dy = _tile_case(TILE_CASES["partial-last-tile"](), masked=True,
+                                        keyless=False)
+        terms[0][:, -1, 3] = -np.inf                 # one group of the last item
         with pytest.raises(DegenerateGroupError, match="in 1 group"):
-            block_attention(q, k, v, lambda lo, hi, out: bias[:, lo:hi])
+            block_attention(q, k, v, terms)
 
 
 class TestExtractNeighborhood:

@@ -5,8 +5,8 @@ small training harness."""
 
 from .autodiff import CheckReport, GradTape, gradcheck
 from .cost import CONVENTION, CostEntry, CostReport, ParityReport, cost_parity, ledger
-from .errors import (CheckpointError, ConfigurationError, ConstructionError,
-                     ConsumedTapeError, DegenerateGroupError, DimensionError, DivergenceError,
+from .errors import (CheckpointError, ConfigurationError, ConsumedTapeError,
+                     DegenerateGroupError, DimensionError, DivergenceError,
                      IngestionError, NonFiniteGradientError, PaddingError,
                      ResolutionError, ScheduleError, UnsupportedExtentError)
 from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionStem", "AvgPool2x2", "BatchNorm2d", "Bottleneck",
     "CONVENTION", "CheckReport", "CheckpointError", "ConfigurationError",
-    "ConstructionError", "ConsumedTapeError", "Conv2d", "CostEntry", "CostReport",
+    "ConsumedTapeError", "Conv2d", "CostEntry", "CostReport",
     "DatasetSource", "DegenerateGroupError", "DimensionError", "DivergenceError",
     "GlobalAvgPool", "GradTape", "History", "IngestionError",
     "Linear", "LocalAttention", "MaxPool", "Model",

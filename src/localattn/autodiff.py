@@ -1,17 +1,18 @@
 """Reverse-mode differentiation over recorded layer chains, plus a
 finite-difference harness that certifies every manual backward pass.
 
-There is no graph tracing: each layer already knows its own backward, so a
-forward pass just records (name, layer, saved context) onto a GradTape and
-backward pops the records in reverse, freeing each context once its layer's
-backward has run. Composite layers (residual blocks, the stem) handle their
-internal branching inside their own backward.
+There is no graph tracing: each layer already knows its own backward. A
+training forward of a chain (`layers.Sequential`, and so the model) returns
+one (name, layer, saved context) record per child, and `backward_chain` is
+the one reverse walk over such records, for the model's tape and for every
+composite's chains alike. Composite layers (residual blocks, the stem)
+handle their internal branching inside their own backward.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,41 +20,50 @@ from .errors import (ConfigurationError, ConsumedTapeError, DimensionError,
                      NonFiniteGradientError)
 
 
+def backward_chain(cotangent: np.ndarray, records: list):
+    """Walk a chain's (name, layer, context) records in reverse, consuming
+    them: each record is popped and its context dropped as soon as its
+    layer's backward returns, as autograd does without retain_graph, so the
+    records serve one backward. Returns (input cotangent, gradients keyed
+    '<name>.<param>', in walk order)."""
+    if not records:
+        raise ConsumedTapeError(
+            "the tape holds no records: an earlier backward consumed it, or "
+            "it comes from an inference forward, which records none")
+    grads: dict[str, np.ndarray] = {}
+    d = cotangent
+    while records:
+        name, layer, ctx = records.pop()
+        d, layer_grads = layer.backward(d, ctx)
+        del ctx
+        for key, g in layer_grads.items():
+            grads[f"{name}.{key}"] = g
+    return d, grads
+
+
 @dataclass
 class GradTape:
-    """Ordered record of one forward pass: (layer name, layer, context)."""
+    """One training forward of a model: its top-level (name, layer,
+    context) records and its output shape."""
 
-    entries: list[tuple[str, object, object]] = field(default_factory=list)
-    output_shape: tuple | None = None
-
-    def record(self, name: str, layer, ctx) -> None:
-        self.entries.append((name, layer, ctx))
+    entries: list[tuple[str, object, object]]
+    output_shape: tuple
 
     def backward(self, cotangent: np.ndarray):
-        """Walk the tape in reverse, consuming it: each record is popped, so
-        its context is released before the next layer's backward runs, as
-        autograd does without retain_graph; a tape serves one backward.
-        Returns (input cotangent, gradient set); the gradient set maps
-        '<layer name>.<param name>' to an array of the parameter's shape, with
-        every trainable parameter present exactly once.
-        """
-        if not self.entries:
-            raise ConsumedTapeError(
-                "the tape holds no records: an earlier backward consumed it, or "
-                "it comes from an inference forward, which records none")
-        if self.output_shape is not None and cotangent.shape != self.output_shape:
+        """`backward_chain` over the entries, which it consumes, after a check
+        of the cotangent's shape. Returns (input cotangent, gradient set); the
+        gradient set maps '<layer name>.<param name>' to an array of the
+        parameter's shape, with every trainable parameter present exactly
+        once. A non-finite gradient raises NonFiniteGradientError naming the
+        first such parameter the walk reached."""
+        if cotangent.shape != self.output_shape:
             raise DimensionError(
                 f"cotangent shape {cotangent.shape} does not match recorded "
                 f"output shape {self.output_shape}")
-        grads: dict[str, np.ndarray] = {}
-        d = cotangent
-        while self.entries:
-            name, layer, ctx = self.entries.pop()
-            d, layer_grads = layer.backward(d, ctx)
-            for key, g in layer_grads.items():
-                if not np.all(np.isfinite(g)):
-                    raise NonFiniteGradientError(f"{name}.{key}")
-                grads[f"{name}.{key}"] = g
+        d, grads = backward_chain(cotangent, self.entries)
+        for key, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradientError(key)
         return d, grads
 
 

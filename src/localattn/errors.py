@@ -22,10 +22,6 @@ class PaddingError(ValueError):
     """Input spatial size incompatible with a block-aligned operation."""
 
 
-class ConstructionError(ValueError):
-    """Model could not be assembled from the given specification."""
-
-
 class ResolutionError(ValueError):
     """Input resolution incompatible with the model's downsampling."""
 

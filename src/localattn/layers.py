@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .autodiff import backward_chain
 from .errors import ConfigurationError, DimensionError, PaddingError
 from .tensorops import (block_attention, block_attention_vjp, check_odd_extent, pad_hw,
                         softmax_axis, softmax_vjp, window_slices, window_validity)
@@ -523,7 +524,11 @@ class BatchNorm2d:
 
 
 class Sequential:
-    """Composite layer: a named chain sharing the layer protocol."""
+    """Composite layer: a named chain sharing the layer protocol, and the one
+    forward walk over a chain. Its context is the walk's records: one
+    (name, layer, ctx) per child in a training forward and none at
+    inference, where each child's context is dropped before the next child
+    runs. Backward is `autodiff.backward_chain`, which consumes them."""
 
     def __init__(self, named_layers):
         self.named_layers = list(named_layers)
@@ -537,22 +542,16 @@ class Sequential:
         return out
 
     def forward(self, x, training: bool = False):
-        ctxs = []
-        for _, layer in self.named_layers:
+        records = []
+        for name, layer in self.named_layers:
             x, ctx = layer.forward(x, training)
-            ctxs.append(ctx)
-        return x, ctxs
+            if training:
+                records.append((name, layer, ctx))
+            del ctx
+        return x, records
 
-    def backward(self, dy, ctxs):
-        """Consumes ctxs, as GradTape.backward consumes its tape: each child's
-        context is popped and released once that child's backward returns."""
-        grads = {}
-        d = dy
-        for name, layer in reversed(self.named_layers):
-            d, layer_grads = layer.backward(d, ctxs.pop())
-            for key, g in layer_grads.items():
-                grads[f"{name}.{key}"] = g
-        return d, grads
+    def backward(self, dy, records):
+        return backward_chain(dy, records)
 
 
 class AttentionStem:
@@ -573,9 +572,9 @@ class AttentionStem:
     slot a*4 + b holding block position (a, b), and each 4x4 block is one
     item of T = 16 keys and S = heads*16 queries, head h's being h*16 to
     (h+1)*16. Only the block output y goes back to NCHW, for the `norm` and
-    `pool` children, which run as one Sequential. ctx is a list of the
-    input, block_attention's softmax statistics (not the weights) and the
-    children's contexts, which backward consumes. Backward rebuilds the
+    `pool` children, which run as one Sequential. ctx is the input,
+    block_attention's softmax statistics (not the weights) and that tail's
+    records, which backward consumes. Backward rebuilds the
     block input, the mixture, q' and V from the input and the parameters,
     which an image's few input channels make cheaper than keeping them, lets
     the VJP write dk' over a copy of the block input and dV over V, and
@@ -667,14 +666,14 @@ class AttentionStem:
         attended = np.empty((x.shape[0], self.d_out, height, width), dtype=yb.dtype)
         _from_blocks(yb.reshape(yb.shape[:3] + (self.d_out, -1)), win, win, attended)
         del yb
-        y, tail_ctx = self.tail.forward(attended, training)
-        return y, [x, stats, *tail_ctx]
+        y, tail_records = self.tail.forward(attended, training)
+        return y, (x, stats, tail_records)
 
     def backward(self, dy: np.ndarray, ctx):
-        # the tail pops its children's contexts off the end of ctx, so the
-        # norm's x_hat is freed before the attention VJP
-        d_attended, grads = self.tail.backward(dy, ctx)
-        x, stats = ctx
+        x, stats, tail_records = ctx
+        # the tail consumes its records, so the norm's x_hat is freed before
+        # the attention VJP
+        d_attended, grads = self.tail.backward(dy, tail_records)
         dyb = _to_blocks(d_attended, self.WINDOW, self.WINDOW)
         del d_attended
         p, w_slots, a_rows, q, xb, v = self._blocks(x)

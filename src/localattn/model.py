@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import GradTape
 from .config import ConfigRecord, within
-from .errors import CheckpointError, ConfigurationError, ConstructionError, ResolutionError
+from .errors import CheckpointError, ConfigurationError, ResolutionError
 from .layers import (AttentionStem, AvgPool2x2, BatchNorm2d, Conv2d, GlobalAvgPool, Linear,
                      LocalAttention, MaxPool, ReLU, Sequential, MODES)
 
@@ -206,9 +206,6 @@ class Bottleneck:
             s, ctx_short = self.shortcut.forward(x, training)
         else:
             s, ctx_short = x, None
-        if h.shape != s.shape:
-            raise ConstructionError(
-                f"residual shapes differ: main {h.shape} vs shortcut {s.shape}")
         out = h + s
         mask = out > 0
         return out * mask, (ctx_main, ctx_short, mask)
@@ -226,33 +223,27 @@ class Bottleneck:
         return dx + dx_short, grads
 
 
-class Model:
-    """A built network: an ordered chain of named top-level layers."""
+class Model(Sequential):
+    """A built network: the chain of named top-level layers its spec
+    describes. forward walks it as a Sequential and hands the records to a
+    GradTape."""
 
     def __init__(self, spec: ModelSpec, named_layers):
+        super().__init__(named_layers)
         self.spec = spec
-        self.named_layers = list(named_layers)
-
-    params = Sequential.params
 
     def forward(self, x: np.ndarray, training: bool = False):
-        """(output, tape). A training forward records each layer's context
-        for one backward; an inference forward records none, so each context
-        is freed as soon as its layer returns."""
+        """(output, tape). A training forward's tape holds one record per
+        top-level layer for one backward; an inference forward's holds none,
+        and no context outlives its layer's turn in the walk, at any depth."""
         height, width = x.shape[2], x.shape[3]
         f = self.spec.downsample_factor
         if height % f or width % f:
             raise ResolutionError(
                 f"input {height}x{width} must be divisible by the model's "
                 f"total downsampling factor {f}")
-        tape = GradTape()
-        for name, layer in self.named_layers:
-            x, ctx = layer.forward(x, training)
-            if training:
-                tape.record(name, layer, ctx)
-            del ctx
-        tape.output_shape = x.shape
-        return x, tape
+        y, records = super().forward(x, training)
+        return y, GradTape(records, y.shape)
 
     def named_modules(self):
         """(dotted name, layer) for every layer, composites before the layers
@@ -400,11 +391,15 @@ def full_state(model: Model) -> dict[str, np.ndarray]:
 
 
 def load_state_into(model: Model, arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into the model's live state by name."""
+    """Copy checkpoint arrays into the model's live state by name; the
+    checkpoint must hold exactly the model's entries."""
     state = full_state(model)
     missing = sorted(set(state) - set(arrays))
     if missing:
         raise CheckpointError(f"checkpoint missing entries: {missing[:5]} ...")
+    unexpected = sorted(set(arrays) - set(state))
+    if unexpected:
+        raise CheckpointError(f"checkpoint has entries the model lacks: {unexpected[:5]} ...")
     for name, arr in state.items():
         src = arrays[name]
         if src.shape != arr.shape:

@@ -129,10 +129,6 @@ def peak_rss_mb() -> float | None:
     return peak / 2 ** 20 if sys.platform == "darwin" else peak / 1024
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((logits.argmax(axis=1) == labels).mean())
-
-
 @dataclass
 class TrainConfig(ConfigRecord):
     epochs: int = within(10, "[1, inf)")

@@ -1,13 +1,16 @@
 """Reverse-mode gradients: tape mechanics and finite-difference checks."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from localattn.autodiff import GradTape, gradcheck
 from localattn.errors import (ConfigurationError, ConsumedTapeError, DimensionError,
                               NonFiniteGradientError)
-from localattn.layers import AttentionStem, BatchNorm2d, Conv2d, Linear, LocalAttention, ReLU
-from localattn.model import ModelSpec, build_model
+from localattn.layers import (AttentionStem, BatchNorm2d, Conv2d, Linear, LocalAttention, ReLU,
+                              Sequential)
+from localattn.model import Bottleneck, ModelSpec, build_model
 from localattn.verify import gradcheck_layers
 
 
@@ -17,21 +20,17 @@ class TestTapeMechanics:
         layer = Linear(3, 2, rng=np.random.default_rng(0), dtype=np.float64)
         layer.bias[:] = 0.0
         x = np.random.default_rng(1).standard_normal((4, 3))
-        tape = GradTape()
         y, ctx = layer.forward(x)
-        tape.record("fc", layer, ctx)
-        _, grads = tape.backward(y)
+        _, grads = GradTape([("fc", layer, ctx)], y.shape).backward(y)
         np.testing.assert_allclose(grads["fc.weight"], y.T @ x, atol=1e-12)
 
     def test_loss_constant_in_a_parameter_gives_zero_gradient(self):
         layer = Linear(3, 2, rng=np.random.default_rng(2), dtype=np.float64)
         x = np.random.default_rng(3).standard_normal((4, 3))
-        tape = GradTape()
         y, ctx = layer.forward(x)
-        tape.record("fc", layer, ctx)
         cotangent = np.zeros_like(y)
         cotangent[:, 0] = 1.0  # loss reads only output 0
-        _, grads = tape.backward(cotangent)
+        _, grads = GradTape([("fc", layer, ctx)], y.shape).backward(cotangent)
         np.testing.assert_array_equal(grads["fc.weight"][1], 0.0)
         assert grads["fc.bias"][1] == 0.0
 
@@ -50,21 +49,16 @@ class TestTapeMechanics:
 
     def test_cotangent_shape_mismatch_raises(self):
         layer = ReLU()
-        tape = GradTape()
         y, ctx = layer.forward(np.ones((2, 3)))
-        tape.record("act", layer, ctx)
-        tape.output_shape = y.shape
         with pytest.raises(DimensionError):
-            tape.backward(np.ones((2, 4)))
+            GradTape([("act", layer, ctx)], y.shape).backward(np.ones((2, 4)))
 
     def test_nonfinite_gradient_detected_and_named(self):
         layer = Linear(3, 2, rng=np.random.default_rng(5), dtype=np.float64)
-        tape = GradTape()
         y, ctx = layer.forward(np.ones((2, 3)))
-        tape.record("fc", layer, ctx)
         bad = np.full_like(y, np.nan)
         with pytest.raises(NonFiniteGradientError) as exc:
-            tape.backward(bad)
+            GradTape([("fc", layer, ctx)], y.shape).backward(bad)
         assert "fc" in str(exc.value)
 
     def test_backward_consumes_the_tape(self):
@@ -75,14 +69,12 @@ class TestTapeMechanics:
         logits, tape = model.forward(np.random.default_rng(12).standard_normal((2, 3, 16, 16)),
                                      training=True)
         assert len(tape.entries) == len(model.named_layers)
-        stem_ctx, (main_ctxs, shortcut_ctxs, _) = tape.entries[0][2], tape.entries[1][2]
+        (_, _, stem_tail), (main, shortcut, _) = tape.entries[0][2], tape.entries[1][2]
         tape.backward(np.ones_like(logits))
         assert tape.entries == []
-        # composites pop their children's contexts too: the block's two
-        # branches and the stem's norm and pool, leaving the stem's input and
-        # softmax statistics
-        assert main_ctxs == [] and shortcut_ctxs == []
-        assert len(stem_ctx) == 2
+        # composites consume their children's records too: the block's two
+        # branches and the stem's norm and pool
+        assert main == [] and shortcut == [] and stem_tail == []
         with pytest.raises(ConsumedTapeError, match="an earlier backward consumed it"):
             tape.backward(np.ones_like(logits))
 
@@ -94,6 +86,84 @@ class TestTapeMechanics:
         assert tape.entries == []
         with pytest.raises(ConsumedTapeError, match="inference forward"):
             tape.backward(np.ones_like(logits))
+
+
+class _Probe:
+    """Identity layer whose context is a fresh object, weakly referenced in
+    the shared `refs`. Its backward notes which of those contexts are still
+    alive and returns `grads`."""
+
+    params = {}
+
+    def __init__(self, refs, seen, grads=None):
+        self.refs, self.seen, self.grads = refs, seen, grads or {}
+
+    def forward(self, x, training=False):
+        ctx = type("Ctx", (), {})()
+        self.refs.append(weakref.ref(ctx))
+        return x, ctx
+
+    def backward(self, dy, ctx):
+        self.seen.append([ref() is not None for ref in self.refs])
+        return dy, dict(self.grads)
+
+
+def _probe_chain(n):
+    refs, seen = [], []
+    return Sequential([(f"p{i}", _Probe(refs, seen)) for i in range(n)]), seen
+
+
+def _block(d_in, mid, downsample):
+    return Bottleneck(d_in, mid, "attention", downsample=downsample, k=3, heads=1,
+                      encoding_mode="none", bn_decay=0.9, rng=np.random.default_rng(0),
+                      dtype=np.float64)
+
+
+class TestChainWalk:
+    """Sequential.forward is the one forward walk and backward_chain the one
+    reverse walk, for the model's tape and for every composite."""
+
+    @pytest.mark.parametrize("through", ["tape", "sequential", "bottleneck"])
+    def test_a_popped_context_is_gone_when_the_next_backward_starts(self, through):
+        chain, seen = _probe_chain(3)
+        x = np.ones((1, 4, 2, 2))
+        if through == "bottleneck":
+            block = _block(4, 1, downsample=False)              # identity shortcut
+            block.main = chain
+            y, ctx = block.forward(x, training=True)
+            block.backward(np.ones_like(y), ctx)
+        else:
+            y, records = chain.forward(x, training=True)
+            if through == "tape":
+                GradTape(records, y.shape).backward(np.ones_like(y))
+            else:
+                chain.backward(np.ones_like(y), records)
+        # when the backward of child j starts, the contexts of the children
+        # after it are unreachable, and those of j and before are alive
+        assert seen == [[True, True, True], [True, True, False], [True, False, False]]
+
+    @pytest.mark.parametrize("layer", ["bottleneck", "stem"])
+    def test_an_inference_forward_keeps_no_child_records(self, layer):
+        if layer == "bottleneck":                                 # projection shortcut
+            composite, x = _block(2, 2, downsample=True), np.ones((1, 2, 8, 8))
+        else:
+            composite = AttentionStem(3, 4, heads=2, rng=np.random.default_rng(0),
+                                      dtype=np.float64)
+            x = np.ones((1, 3, 8, 8))
+        y, ctx = composite.forward(x)
+        children = ctx[:2] if layer == "bottleneck" else ctx[2:]     # (main, shortcut), (tail,)
+        assert all(records == [] for records in children)
+        with pytest.raises(ConsumedTapeError, match="inference forward"):
+            composite.backward(np.ones_like(y), ctx)
+
+    def test_the_tape_names_the_non_finite_gradient_the_walk_reaches_first(self):
+        refs, seen = [], []
+        bad = {"ok": np.ones(2), "w": np.array([1.0, np.nan])}
+        chain = [(name, _Probe(refs, seen, bad)) for name in ("first", "second")]
+        y, records = Sequential(chain).forward(np.ones(3), training=True)
+        with pytest.raises(NonFiniteGradientError) as exc:
+            GradTape(records, y.shape).backward(np.ones(3))
+        assert exc.value.name == "second.w"
 
 
 class TestGradcheck:

@@ -12,7 +12,8 @@ from localattn import cli
 from localattn.cli import build_parser, run
 from localattn.data import DATA_CONFIG_KEYS, DatasetSource
 from localattn.errors import ConfigurationError
-from localattn.model import MODEL_CONFIG_KEYS, ModelSpec, read_config
+from localattn.model import (MODEL_CONFIG_KEYS, ModelSpec, build_model, full_state, read_config,
+                             save_checkpoint)
 from localattn.train import TRAIN_CONFIG_KEYS, TrainConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -177,6 +178,19 @@ class TestExitCodes:
                             + TINY_MODEL + TINY_DATA, capsys)
         assert code == 1
         assert err.startswith("error:")
+
+    def test_checkpoint_of_a_deeper_model_fails_cleanly(self, tmp_path, capsys):
+        # TINY_MODEL with a second block: its checkpoint holds every entry
+        # TINY_MODEL needs, and more
+        deeper = ModelSpec(block_counts=(2,), groups=("attention",), stem="attention_stem",
+                           width_multiplier=0.125, k=3, heads=2, encoding_mode="relative",
+                           num_classes=2, input_resolution=32)
+        path = str(tmp_path / "deeper.ckpt")
+        save_checkpoint(path, full_state(build_model(deeper)))
+        code, _, err = _cli(["eval", "--checkpoint", path] + TINY_MODEL + TINY_DATA, capsys)
+        assert code == 1
+        assert err.startswith("error: checkpoint has entries the model lacks: ['group1.block1.")
+        assert err.count("\n") == 1
 
     def test_out_of_memory_fails_cleanly(self, monkeypatch, capsys):
         def count(args):

@@ -504,7 +504,8 @@ class TestAttentionStem:
         stem = AttentionStem(3, 16, rng=np.random.default_rng(35))
         x = np.random.default_rng(36).standard_normal((128, 3, 32, 32)).astype(np.float32)
         _, ctx = stem.forward(x, training=True)
-        *own, bn_ctx, pool_ctx = ctx
+        *own, tail = ctx
+        (_, _, bn_ctx), (_, _, pool_ctx) = tail
         assert len(own) == 2 and own[0] is x
         assert _owned_bytes(own + list(bn_ctx) + list(pool_ctx)) < 16 * 2 ** 20
         # nothing of T*S = 16*16 per item of block_attention, one item per

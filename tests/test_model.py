@@ -307,6 +307,14 @@ class TestModelState:
         with pytest.raises(CheckpointError, match="missing"):
             load_state_into(model, state)
 
+    def test_unexpected_entry_rejected(self):
+        # a deeper model's state holds every entry this one needs and more:
+        # loading it would evaluate a network that is not the checkpoint's
+        model = build_model(_desk_spec(), seed=0)
+        deeper = full_state(build_model(_desk_spec(block_counts=(2, 1)), seed=0))
+        with pytest.raises(CheckpointError, match=r"lacks: \['group1\.block1\."):
+            load_state_into(model, deeper)
+
     def test_shape_mismatch_rejected(self):
         model = build_model(_desk_spec(), seed=0)
         state = {k: v.copy() for k, v in full_state(model).items()}

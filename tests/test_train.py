@@ -37,7 +37,6 @@ from localattn.train import (
     OptimizerState,
     Schedule,
     TrainConfig,
-    accuracy,
     cross_entropy_smoothed,
     evaluate,
     lr_at,
@@ -158,10 +157,6 @@ class TestLoss:
         _, dlogits = cross_entropy_smoothed(rng.standard_normal((6, 4)),
                                             np.array([0, 1, 2, 3, 0, 1]), 0.1)
         np.testing.assert_allclose(dlogits.sum(axis=1), 0.0, atol=1e-12)
-
-    def test_accuracy_counts_argmax_hits(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
-        assert accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
 
 
 class TestCifarIngestion:

@@ -3,7 +3,7 @@ convolutions: attention and convolution primitives with manually verified
 gradients, a ResNet transformation procedure, a symbolic cost ledger, and a
 small training harness."""
 
-from .autodiff import CheckReport, GradTape, gradcheck
+from .autodiff import GradTape, gradcheck
 from .cost import CONVENTION, CostEntry, CostReport, ParityReport, cost_parity, ledger
 from .errors import (CheckpointError, ConfigurationError, ConsumedTapeError,
                      DegenerateGroupError, DimensionError, DivergenceError,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttentionStem", "AvgPool2x2", "BatchNorm2d", "Bottleneck",
-    "CONVENTION", "CheckReport", "CheckpointError", "ConfigurationError",
+    "CONVENTION", "CheckpointError", "ConfigurationError",
     "ConsumedTapeError", "Conv2d", "CostEntry", "CostReport",
     "DatasetSource", "DegenerateGroupError", "DimensionError", "DivergenceError",
     "GlobalAvgPool", "GradTape", "History", "IngestionError",

@@ -215,13 +215,14 @@ def conv_flops_per_pixel(d_in: int, d_out: int, k: int) -> int:
     return 2 * k * k * d_in * d_out
 
 
-def cost_parity(d: int, conv_k: int, heads: int = 8, mode: str = "relative",
-                sweep=range(3, 27, 2)) -> ParityReport:
-    """Find the attention extent whose per-pixel cost best matches a conv."""
+def cost_parity(d: int, conv_k: int, heads: int = 8,
+                mode: str = "relative") -> ParityReport:
+    """Find the attention extent in 3, 5, ..., 25 whose per-pixel cost best
+    matches a conv."""
     if d < 1:
         raise ConfigurationError(f"d must be at least 1, got {d}")
     check_odd_extent(conv_k, "convolution")
     conv = conv_flops_per_pixel(d, d, conv_k)
-    attn = {k: attention_unit_costs(d, d, k, heads, mode)[2] for k in sweep}
+    attn = {k: attention_unit_costs(d, d, k, heads, mode)[2] for k in range(3, 27, 2)}
     best = min(attn, key=lambda k: abs(attn[k] - conv))
     return ParityReport(d, conv_k, conv, attn, best)

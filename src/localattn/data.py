@@ -136,11 +136,11 @@ FAMILY_COLORS = (
 )
 
 
-def synthetic_blocks(n: int, seed: int = 0, size: int = 32):
+def synthetic_blocks(n: int, seed: int = 0):
     """n images of the paired-blob ordering task; labels in [0, 9]."""
     rng = np.random.default_rng(seed)
-    cells = size // 4
-    x = np.zeros((n, 3, size, size), dtype=np.float32)
+    cells = IMAGE_SHAPE[1] // 4
+    x = np.zeros((n, *IMAGE_SHAPE), dtype=np.float32)
     y = rng.integers(0, 10, size=n)
     for idx in range(n):
         family, order = int(y[idx]) // 2, int(y[idx]) % 2
@@ -157,12 +157,12 @@ def synthetic_blocks(n: int, seed: int = 0, size: int = 32):
     return x, y
 
 
-def synthetic_separable(n: int, seed: int = 0, size: int = 32):
+def synthetic_separable(n: int, seed: int = 0):
     """n images of a 2-class brightness task a linear probe solves exactly."""
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, size=n)
     shift = np.where(y == 1, 0.5, -0.5).astype(np.float32)
-    x = rng.normal(0.0, 0.2, size=(n, 3, size, size)).astype(np.float32)
+    x = rng.normal(0.0, 0.2, size=(n, *IMAGE_SHAPE)).astype(np.float32)
     x += shift[:, None, None, None]
     return x, y
 

@@ -51,32 +51,29 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
 
-_signal_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def absolute_position_signal(d: int, height: int, width: int) -> np.ndarray:
     """Fixed sinusoidal position channels: the first d/2 encode the row index
     and the rest the column index, each half at geometrically spaced
-    frequencies with base 10000. Returned as float64, shape (d, H, W)."""
+    frequencies with base 10000. Returned as float64, shape (d, H, W),
+    read-only because the array is cached and shared."""
     if d % 2:
         raise ConfigurationError(
             f"position signal splits channels into row/column halves; d={d} is odd")
-    key = (d, height, width)
-    if key not in _signal_cache:
-        sig = np.zeros((d, height, width))
-        d_row = d // 2
-        for offset, dim, length, along_rows in ((0, d_row, height, True),
-                                                (d_row, d - d_row, width, False)):
-            pos = np.arange(length, dtype=np.float64)
-            for ch in range(dim):
-                angle = pos / (10000.0 ** ((ch - ch % 2) / dim))
-                wave = np.sin(angle) if ch % 2 == 0 else np.cos(angle)
-                if along_rows:
-                    sig[offset + ch] = wave[:, None]
-                else:
-                    sig[offset + ch] = wave[None, :]
-        _signal_cache[key] = sig
-    return _signal_cache[key]
+    sig = np.zeros((d, height, width))
+    d_row = d // 2
+    for offset, dim, length, along_rows in ((0, d_row, height, True),
+                                            (d_row, d - d_row, width, False)):
+        pos = np.arange(length, dtype=np.float64)
+        for ch in range(dim):
+            angle = pos / (10000.0 ** ((ch - ch % 2) / dim))
+            wave = np.sin(angle) if ch % 2 == 0 else np.cos(angle)
+            if along_rows:
+                sig[offset + ch] = wave[:, None]
+            else:
+                sig[offset + ch] = wave[None, :]
+    sig.flags.writeable = False
+    return sig
 
 
 class Conv2d:
@@ -467,13 +464,13 @@ class BatchNorm2d:
     centred input, which is then scaled in place into the saved x_hat.
     """
 
-    def __init__(self, channels: int, decay: float = 0.9, epsilon: float = 1e-5,
-                 dtype=np.float32):
+    epsilon = 1e-5
+
+    def __init__(self, channels: int, decay: float = 0.9, dtype=np.float32):
         if not 0.0 < decay < 1.0:
             raise ConfigurationError(f"decay must lie in (0, 1), got {decay}")
         self.channels = channels
         self.decay = decay
-        self.epsilon = epsilon
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
